@@ -3,7 +3,7 @@ a random interval, under scalar restrictions on its selections (fixed mean,
 median, moment, or quantile), with exhaustive oracles validating every
 closed form."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     AlphaOutOfRange,
@@ -41,9 +41,7 @@ from .model import (
     StepDistribution,
     discretize,
     marginal_law,
-    median_set,
     normalize,
-    quantile,
 )
 from .rearrange import (
     ConditionalLaw,

@@ -51,6 +51,26 @@ class Selection:
         object.__setattr__(self, "value", v[keep])
         object.__setattr__(self, "subweight", w[keep])
 
+    @classmethod
+    def from_cells(cls, weight, cells, rest) -> "Selection":
+        """Selection from scenario-aligned cells.
+
+        Each cell is a pair (values, subweights) of per-scenario arrays (a
+        scalar value stands for every scenario); the last cell puts the
+        values ``rest`` on whatever weight the other cells leave.  Rows of
+        zero weight are dropped.
+        """
+        values = np.empty((len(cells) + 1, weight.size))
+        subweights = np.empty_like(values)
+        left = weight
+        for row, (v, sw) in enumerate(cells):
+            values[row] = v
+            subweights[row] = sw
+            left = left - sw
+        values[-1] = rest
+        subweights[-1] = left
+        return cls(np.arange(values.size) % weight.size, values.ravel(), subweights.ravel())
+
     def mean(self) -> float:
         return float(np.dot(self.value, self.subweight))
 
@@ -69,17 +89,6 @@ class Selection:
         np.add.at(sums, self.scenario, self.subweight)
         if np.max(np.abs(sums - instance.weight)) > max(_ATOL, tol * 1e-3):
             raise SelectionMismatch("per-scenario subweights do not match weights")
-
-    def scaled(self, factor: float) -> "Selection":
-        return Selection(self.scenario, self.value, self.subweight * factor)
-
-
-def combine(parts: list[Selection]) -> Selection:
-    return Selection(
-        np.concatenate([p.scenario for p in parts]),
-        np.concatenate([p.value for p in parts]),
-        np.concatenate([p.subweight for p in parts]),
-    )
 
 
 @dataclass(frozen=True)
@@ -187,30 +196,9 @@ def quantile_selection(instance: DiscreteInstance, alpha: float, m: float) -> Se
     p_below = float(instance.weight[at_or_below].sum())
     delta = max(alpha - p_below, 0.0)
 
-    parts_s, parts_v, parts_w = [], [], []
-
-    idx_below = np.flatnonzero(at_or_below)
-    parts_s.append(idx_below)
-    parts_v.append(instance.upper[idx_below])
-    parts_w.append(instance.weight[idx_below])
-
-    idx_above = np.flatnonzero(above)
-    parts_s.append(idx_above)
-    parts_v.append(instance.lower[idx_above])
-    parts_w.append(instance.weight[idx_above])
-
-    remaining = delta
-    for i in np.flatnonzero(contact):
-        w = float(instance.weight[i])
-        routed = min(w, remaining) if remaining > _ATOL else 0.0
-        remaining -= routed
-        for part in (routed, w - routed):
-            if part > 0.0:
-                parts_s.append(np.array([i]))
-                parts_v.append(np.array([m]))
-                parts_w.append(np.array([part]))
-
-    sel = Selection(
-        np.concatenate(parts_s), np.concatenate(parts_v), np.concatenate(parts_w)
-    )
-    return sel
+    # route the contact weight in instance order until delta is covered
+    w_contact = np.where(contact, instance.weight, 0.0)
+    remaining = delta - (np.cumsum(w_contact) - w_contact)
+    routed = np.where(remaining > _ATOL, np.minimum(w_contact, remaining), 0.0)
+    outer = np.where(at_or_below, instance.upper, instance.lower)
+    return Selection.from_cells(instance.weight, [(m, routed)], np.where(contact, m, outer))

@@ -152,6 +152,7 @@ class AnalysisRequest:
     target: TargetSet | None = None
     run_oracle: bool = False
     export_path: str | None = None
+    attainability_alpha: float | None = None   # bounds --alpha
     export_grid: int = 1001
     tolerance: float = 1e-9
 
@@ -184,7 +185,9 @@ def run(request: AnalysisRequest) -> dict:
 
     The report always carries the unrestricted benchmarks; restricted
     sections appear only when feasible, otherwise the feasibility block
-    explains which inequality failed and by how much.
+    explains which inequality failed and by how much.  The instance is
+    built once and also serves the attainability range of
+    ``attainability_alpha`` and the curve export to ``export_path``.
     """
     instance = request.build_instance()
     report: dict = {"schema_version": 1}
@@ -207,6 +210,10 @@ def run(request: AnalysisRequest) -> dict:
         benchmark["probability"] = _interval(
             unrestricted_prob_bounds(instance, request.target), "closed-form"
         )
+    if request.attainability_alpha:
+        benchmark["quantile_attainability"] = _interval(
+            quantile_attainability_range(instance, request.attainability_alpha), "closed-form"
+        )
     report["benchmark"] = benchmark
 
     report["feasibility"] = {"status": "ok", "diagnosis": None}
@@ -226,6 +233,8 @@ def run(request: AnalysisRequest) -> dict:
         "grid_size": request.spec.grid_size if request.spec else None,
         "tolerances": TOLERANCES,
     }
+    if request.export_path:
+        report["exported"] = export_curves(request, instance, request.export_path)
     return report
 
 
@@ -535,6 +544,7 @@ def _request_from_args(args) -> AnalysisRequest:
         target=target,
         run_oracle=getattr(args, "oracle", False),
         export_path=getattr(args, "export", None),
+        attainability_alpha=getattr(args, "alpha", None) if args.command == "bounds" else None,
         tolerance=getattr(args, "tolerance", 1e-9),
     )
 
@@ -591,16 +601,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             request.run_oracle = True
         report = run(request)
-
-        if args.command == "bounds" and getattr(args, "alpha", None):
-            instance = request.build_instance()
-            rng = quantile_attainability_range(instance, args.alpha)
-            report["benchmark"]["quantile_attainability"] = _interval(rng, "closed-form")
-
-        if request.export_path:
-            instance = request.build_instance()
-            report["exported"] = export_curves(request, instance, request.export_path)
-
         _emit(report, getattr(args, "out", None))
         if report["feasibility"]["status"] == "infeasible":
             return 2

@@ -8,7 +8,11 @@ gap between the relevant interval endpoint and the nearest admissible
 point of A (or of its complement).  The optimal selections are bang-bang
 in that gap: every scenario whose gap clears a common threshold switches,
 and the scenario exactly at the threshold splits its mass (boundary
-randomization) so the mean constraint holds with equality.
+randomization) so the mean constraint holds with equality.  Each such
+selection is two scenario-aligned cells, the switched mass at its
+in-target point and the rest at the endpoint, so
+:func:`threshold_selection` and :func:`calibrate_mean` share one assembly
+path through :meth:`Selection.from_cells`.
 
 The same values admit a dual description as envelopes over a scalar
 multiplier; :func:`dual_envelope` evaluates it as an independent check.
@@ -154,12 +158,10 @@ def threshold_selection(
     if not (0.0 <= tie_in <= 1.0):
         raise InputError("tie_in must lie in [0,1]")
     prof = gap_profile(instance, target)
-    n = instance.n
-    idx = np.arange(n)
 
     if lam == 0.0:
         value = np.where(prof.hit, prof.a_plus, instance.upper)
-        return Selection(idx, value, instance.weight.copy())
+        return Selection(np.arange(instance.n), value, instance.weight.copy())
 
     if lam > 0.0:
         cutoff = 1.0 / lam if np.isfinite(lam) else 0.0
@@ -170,20 +172,7 @@ def threshold_selection(
 
     go_in = prof.hit & (gaps < cutoff)
     tie = prof.hit & (gaps == cutoff)
-    stay = ~(go_in | tie)
-
-    parts = [
-        Selection(idx[go_in], inside[go_in], instance.weight[go_in]),
-        Selection(idx[stay], outside[stay], instance.weight[stay]),
-    ]
-    if np.any(tie):
-        parts.append(Selection(idx[tie], inside[tie], instance.weight[tie] * tie_in))
-        parts.append(Selection(idx[tie], outside[tie], instance.weight[tie] * (1.0 - tie_in)))
-    return Selection(
-        np.concatenate([p.scenario for p in parts]),
-        np.concatenate([p.value for p in parts]),
-        np.concatenate([p.subweight for p in parts]),
-    )
+    return _assemble(instance, inside, outside, go_in, tie, tie_in)
 
 
 @dataclass(frozen=True)
@@ -238,23 +227,11 @@ def _engagement(gaps: np.ndarray, weights: np.ndarray, need: float, prefer_large
     return t_star, theta, full, tie
 
 
-def _assemble(instance, engaged_value, base_value, full, tie, theta, rest_value):
+def _assemble(instance, engaged_value, base_value, full, tie, theta):
     """Selection: engaged scenarios at engaged_value, tie split by theta."""
-    idx = np.arange(instance.n)
     w = instance.weight
-    rest = ~(full | tie)
-    parts = [
-        Selection(idx[full], engaged_value[full], w[full]),
-        Selection(idx[rest], rest_value[rest], w[rest]),
-    ]
-    if np.any(tie):
-        parts.append(Selection(idx[tie], engaged_value[tie], w[tie] * theta))
-        parts.append(Selection(idx[tie], base_value[tie], w[tie] * (1.0 - theta)))
-    return Selection(
-        np.concatenate([p.scenario for p in parts]),
-        np.concatenate([p.value for p in parts]),
-        np.concatenate([p.subweight for p in parts]),
-    )
+    engaged_w = w * np.where(full, 1.0, theta * tie)
+    return Selection.from_cells(w, [(engaged_value, engaged_w)], base_value)
 
 
 def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) -> Calibration:
@@ -277,48 +254,41 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
     hit = prof.hit
 
     # mean span of fully hit-maximizing selections (mean constraint slack)
-    k_lo = float(np.dot(w, np.where(hit, prof.a_minus, instance.lower)))
-    k_hi = float(np.dot(w, np.where(hit, prof.a_plus, instance.upper)))
+    hi_vals = np.where(hit, prof.a_plus, instance.upper)
+    lo_vals = np.where(hit, prof.a_minus, instance.lower)
+    k_lo = float(np.dot(w, lo_vals))
+    k_hi = float(np.dot(w, hi_vals))
 
     if k_lo - _ATOL <= kappa <= k_hi + _ATOL:
         span = k_hi - k_lo
         tau = 0.0 if span <= 0.0 else min(max((kappa - k_lo) / span, 0.0), 1.0)
-        hi_vals = np.where(hit, prof.a_plus, instance.upper)
-        lo_vals = np.where(hit, prof.a_minus, instance.lower)
-        sel = Selection(
-            np.concatenate([np.arange(instance.n)] * 2),
-            np.concatenate([hi_vals, lo_vals]),
-            np.concatenate([w * tau, w * (1.0 - tau)]),
-        )
+        sel = Selection.from_cells(w, [(hi_vals, w * tau)], lo_vals)
         return Calibration(0.0, sel, float(w[hit].sum()))
 
     if kappa > k_hi:
         # high-mean regime: start from the upper endpoints and pull the
         # cheapest hit scenarios down onto their best in-target point.
         need = instance.mean_upper() - kappa
-        gaps = np.where(hit, prof.delta_plus, np.inf)
-        pool = hit
+        gaps = prof.delta_plus
         engaged_value = prof.a_plus
         base_value = instance.upper
         sign = 1.0
     else:
         need = kappa - instance.mean_lower()
-        gaps = np.where(hit, prof.delta_minus, np.inf)
-        pool = hit
+        gaps = prof.delta_minus
         engaged_value = prof.a_minus
         base_value = instance.lower
         sign = -1.0
 
-    sub_gaps = gaps[pool]
-    sub_w = w[pool]
-    t_star, theta, full_sub, tie_sub = _engagement(sub_gaps, sub_w, need, prefer_large=False)
+    t_star, theta, full_sub, tie_sub = _engagement(gaps[hit], w[hit], need, prefer_large=False)
+    pool = np.flatnonzero(hit)
     full = np.zeros(instance.n, dtype=bool)
     tie = np.zeros(instance.n, dtype=bool)
-    full[np.flatnonzero(pool)[full_sub]] = True
-    tie[np.flatnonzero(pool)[tie_sub]] = True
+    full[pool[full_sub]] = True
+    tie[pool[tie_sub]] = True
 
     prob = float(w[full].sum() + theta * w[tie].sum())
-    sel = _assemble(instance, engaged_value, base_value, full, tie, theta, base_value)
+    sel = _assemble(instance, engaged_value, base_value, full, tie, theta)
     lam = math.inf if t_star == 0.0 else 1.0 / t_star
     return Calibration(sign * lam, sel, prob)
 
@@ -466,17 +436,12 @@ class DualEnvelope:
     lower: float
 
 
-def dual_envelope(
-    instance: DiscreteInstance,
-    target: TargetSet,
-    kappa: float,
-    lambda_grid=None,
-) -> DualEnvelope:
+def dual_envelope(instance: DiscreteInstance, target: TargetSet, kappa: float) -> DualEnvelope:
     """Envelope values inf/sup over the multiplier of the dual objective.
 
-    ``lambda_grid`` optionally supplies extra multiplier samples to seed
-    the search; refinement is golden-section on the convex envelope.
-    Matches the primal bounds to about 1e-6 on step instances.
+    Each side is a convex scalar search: an expanding bracket followed by
+    golden-section refinement.  Matches the primal bounds to about 1e-6 on
+    step instances.
     """
     box = aumann_interval(instance)
     if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
@@ -490,13 +455,6 @@ def dual_envelope(
     def lower_obj_neg(lam):
         return -(_phi_mean(instance, prof, lam) - lam * kappa)
 
-    seed_best_u = math.inf
-    seed_best_l = math.inf
-    if lambda_grid is not None:
-        for lam in lambda_grid:
-            seed_best_u = min(seed_best_u, upper_obj(float(lam)))
-            seed_best_l = min(seed_best_l, lower_obj_neg(float(lam)))
-
-    upper = min(_minimize_convex(upper_obj), seed_best_u)
-    lower = -min(_minimize_convex(lower_obj_neg), seed_best_l)
-    return DualEnvelope(upper=upper, lower=lower)
+    return DualEnvelope(
+        upper=_minimize_convex(upper_obj), lower=-_minimize_convex(lower_obj_neg)
+    )

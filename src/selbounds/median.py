@@ -19,7 +19,7 @@ from .errors import InfeasibleMedian, InputError, MOutsideMedianSpan
 from .laws import Law
 from .model import ClosedInterval, DiscreteInstance, marginal_law
 from .rearrange import ConditionalLaw, least_x_set, sorted_partial_sum
-from .benchmarks import Selection, combine
+from .benchmarks import Selection
 
 _ATOL = 1e-12
 
@@ -117,6 +117,19 @@ def median_restricted_mean_interval(instance: DiscreteInstance, m: float) -> Clo
     return pivot_mean_interval(instance, m, 0.5, 0.5)
 
 
+def _pivot_mass(instance: DiscreteInstance, part: MedianPartition, side: str) -> np.ndarray:
+    """Per-scenario mass the ``side`` extremal selection puts at the pivot:
+    the least-gap contact subset of mass equal to the binding shortfall."""
+    gaps = part.u_gaps if side == "max" else part.l_gaps
+    shortfall = part.alpha_minus if side == "max" else part.alpha_plus
+    taken = np.zeros(instance.n)
+    if part.p0 > 0.0 and shortfall > 0.0:
+        cond = ConditionalLaw(part.contact, instance.weight[part.contact], gaps)
+        subset = least_x_set(cond, min(shortfall, part.p0))
+        taken[subset.indices] = subset.subweights
+    return taken
+
+
 def extremal_selection(instance: DiscreteInstance, m: float, side: str) -> Selection:
     """Selection attaining an endpoint of the median-restricted mean range.
 
@@ -129,85 +142,41 @@ def extremal_selection(instance: DiscreteInstance, m: float, side: str) -> Selec
         raise InputError(f"side must be 'max' or 'min', got {side!r}")
     part = partition(instance, m)
     _require_feasible(part)
-
-    gaps = part.u_gaps if side == "max" else part.l_gaps
-    shortfall = part.alpha_minus if side == "max" else part.alpha_plus
     base_values = instance.upper if side == "max" else instance.lower
-
-    taken_w = np.zeros(0)
-    taken_idx = np.zeros(0, dtype=int)
-    if part.p0 > 0.0 and shortfall > 0.0:
-        cond = ConditionalLaw(part.contact, instance.weight[part.contact], gaps)
-        subset = least_x_set(cond, min(shortfall, part.p0))
-        taken_idx = subset.indices
-        taken_w = subset.subweights
-
-    residual = instance.weight.copy().astype(float)
-    np.subtract.at(residual, taken_idx, taken_w)
-    residual = np.maximum(residual, 0.0)
-
-    parts = [Selection(taken_idx, np.full(taken_idx.size, float(m)), taken_w)] if taken_idx.size else []
-    keep = residual > 0.0
-    parts.append(Selection(np.flatnonzero(keep), base_values[keep], residual[keep]))
-    return combine(parts)
+    taken = _pivot_mass(instance, part, side)
+    return Selection.from_cells(instance.weight, [(float(m), taken)], base_values)
 
 
 def mixed_selection(instance: DiscreteInstance, m: float, theta: float) -> Selection:
     """Pointwise convex combination of the two extremal selections.
 
-    The two selections are aligned scenario by scenario on a common
-    refinement of their weight splits (first fractions aligned), so the
-    mix is again a valid selection; its mean interpolates the endpoint
-    means linearly in theta and its median still contains m.
+    Each extremal selection gives a scenario its pivot mass at m first and
+    the rest at its endpoint.  Aligned that way, a scenario splits into at
+    most three cells: both selections at m, one at m and the other at its
+    endpoint, and both at their endpoints.  Each cell takes the theta-blend
+    of the two values, so the mix is again a valid selection whose mean
+    interpolates the endpoint means linearly in theta and whose median
+    still contains m.
     """
     if not (0.0 <= theta <= 1.0):
         raise InputError(f"theta must lie in [0,1], got {theta}")
-    hi = extremal_selection(instance, m, "max")
-    lo = extremal_selection(instance, m, "min")
+    part = partition(instance, m)
+    _require_feasible(part)
+    m = float(m)
+    t_hi = _pivot_mass(instance, part, "max")
+    t_lo = _pivot_mass(instance, part, "min")
 
-    def grouped(sel):
-        order = np.argsort(sel.scenario, kind="stable")
-        s = sel.scenario[order]
-        starts = np.searchsorted(s, np.arange(instance.n), side="left")
-        stops = np.searchsorted(s, np.arange(instance.n), side="right")
-        return sel.value[order], sel.subweight[order], starts, stops
+    def blend(v_hi, v_lo):
+        # equal cell values (both at the pivot) must survive exactly
+        return np.where(v_hi == v_lo, v_hi, theta * v_hi + (1.0 - theta) * v_lo)
 
-    hv, hw, hs0, hs1 = grouped(hi)
-    lv, lw, ls0, ls1 = grouped(lo)
-
-    out_s, out_v, out_w = [], [], []
-    for i in range(instance.n):
-        cells_hi = list(zip(hv[hs0[i]:hs1[i]], hw[hs0[i]:hs1[i]]))
-        cells_lo = list(zip(lv[ls0[i]:ls1[i]], lw[ls0[i]:ls1[i]]))
-        cuts = sorted(
-            set(np.cumsum([w for _, w in cells_hi]).tolist())
-            | set(np.cumsum([w for _, w in cells_lo]).tolist())
-        )
-        prev = 0.0
-
-        def value_at(cells, pos):
-            acc = 0.0
-            for v, w in cells:
-                acc += w
-                if pos < acc + _ATOL:
-                    return v
-            return cells[-1][0]
-
-        for cut in cuts:
-            width = cut - prev
-            if width <= _ATOL:
-                prev = cut
-                continue
-            midpos = 0.5 * (prev + cut)
-            v_hi = value_at(cells_hi, midpos)
-            v_lo = value_at(cells_lo, midpos)
-            # equal cell values (both at the pivot) must survive exactly
-            v = v_hi if v_hi == v_lo else theta * v_hi + (1.0 - theta) * v_lo
-            out_s.append(i)
-            out_v.append(v)
-            out_w.append(width)
-            prev = cut
-    return Selection(np.array(out_s), np.array(out_v), np.array(out_w))
+    lower, upper = instance.lower, instance.upper
+    one_at_m = np.where(t_hi > t_lo, blend(m, lower), blend(upper, m))
+    return Selection.from_cells(
+        instance.weight,
+        [(m, np.minimum(t_hi, t_lo)), (one_at_m, np.abs(t_hi - t_lo))],
+        blend(upper, lower),
+    )
 
 
 @dataclass(frozen=True)

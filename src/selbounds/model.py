@@ -293,16 +293,6 @@ def marginal_law(instance: DiscreteInstance, side: str) -> StepDistribution:
     return StepDistribution.from_samples(values, instance.weight)
 
 
-def quantile(dist: StepDistribution, alpha: float) -> float:
-    """Module-level alias of :meth:`StepDistribution.quantile`."""
-    return dist.quantile(alpha)
-
-
-def median_set(dist: StepDistribution) -> ClosedInterval:
-    """Module-level alias of :meth:`StepDistribution.median_interval`."""
-    return dist.median_interval()
-
-
 @dataclass(frozen=True)
 class ComonotoneSpec:
     """Comonotone coupling of two parametric laws on a midpoint grid.

@@ -8,10 +8,12 @@ quantile function,
     inf{ E[X 1_S] : S subset of M, P(S) = s } = p0 * int_0^{s/p0} Q(u) du.
 
 On finite instances the infimum is attained exactly by taking whole atoms
-in ascending X order and splitting the boundary atom fractionally.  These
-two computations (greedy set construction and quantile-step integration)
-are implemented independently and must agree to machine precision; this is
-the workhorse behind every pivot-restricted mean bound in the package.
+in ascending X order and splitting the boundary atom fractionally.  One
+greedy fill kernel does this; :func:`sorted_partial_sum` returns its value
+and :func:`least_x_set` also the chosen subset.  Quantile-step integration
+(:func:`conditional_quantile_integral`) is implemented independently of
+that kernel and must agree with it to machine precision; this is the
+workhorse behind every pivot-restricted mean bound in the package.
 """
 
 from __future__ import annotations
@@ -73,6 +75,30 @@ class ConditionalLaw:
         return StepDistribution.from_samples(self.values, self.member_weights / self.p0)
 
 
+def _greedy_fill(values, weights, mass: float):
+    """Fill ascending values (ties by position) up to ``mass``.
+
+    Returns ``(order, k, frac, value)``: the first ``k`` positions of
+    ``order`` are taken whole, ``order[k]`` contributes the boundary
+    fraction ``frac`` of its weight, and ``value`` is the filled sum of
+    value times weight.  ``mass`` is clipped into [0, sum(weights)] within
+    tolerance.
+    """
+    total = float(weights.sum())
+    if mass < -_ATOL or mass > total + max(_ATOL, 1e-9 * total):
+        raise MassOutOfRange(f"mass {mass} outside [0, {total}]")
+    mass = min(max(mass, 0.0), total)
+    order = np.lexsort((np.arange(values.size), values))
+    if mass == 0.0:
+        return order, 0, 0.0, 0.0
+    w = weights[order]
+    v = values[order]
+    cum = np.cumsum(w)
+    k = min(int(np.searchsorted(cum, mass, side="left")), w.size - 1)
+    frac = max(mass - (cum[k - 1] if k > 0 else 0.0), 0.0)
+    return order, k, frac, float(np.dot(v[:k], w[:k])) + float(v[k]) * frac
+
+
 def sorted_partial_sum(values, weights, mass: float) -> float:
     """Cost of the cheapest sub-mass: fill ascending values up to ``mass``.
 
@@ -82,22 +108,7 @@ def sorted_partial_sum(values, weights, mass: float) -> float:
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
-    if mass < -_ATOL or mass > total + max(_ATOL, 1e-9 * total):
-        raise MassOutOfRange(f"mass {mass} outside [0, {total}]")
-    mass = min(max(mass, 0.0), total)
-    if mass == 0.0:
-        return 0.0
-    order = np.lexsort((np.arange(values.size), values))
-    w = weights[order]
-    v = values[order]
-    cum = np.cumsum(w)
-    k = int(np.searchsorted(cum, mass, side="left"))
-    if k >= w.size:
-        k = w.size - 1
-    full = float(np.dot(v[:k], w[:k]))
-    frac = mass - (cum[k - 1] if k > 0 else 0.0)
-    return full + float(v[k]) * max(frac, 0.0)
+    return _greedy_fill(values, weights, mass)[3]
 
 
 def least_x_set(cond: ConditionalLaw, s: float) -> WeightedSubset:
@@ -106,30 +117,19 @@ def least_x_set(cond: ConditionalLaw, s: float) -> WeightedSubset:
     Returns the chosen members with their (possibly fractional) weights;
     ``value`` equals ``p0 * int_0^{s/p0} Q(u) du`` exactly on step laws.
     """
-    if s < -_ATOL or s > cond.p0 + max(_ATOL, 1e-9 * cond.p0):
-        raise MassOutOfRange(f"mass {s} outside [0, {cond.p0}]")
-    s = min(max(s, 0.0), cond.p0)
-    order = np.lexsort((np.arange(cond.values.size), cond.values))
-    w = cond.member_weights[order]
-    v = cond.values[order]
-    cum = np.cumsum(w)
-    k = int(np.searchsorted(cum, s, side="left"))
-    if s == 0.0:
-        return WeightedSubset(np.empty(0, dtype=int), np.empty(0), 0.0)
-    k = min(k, w.size - 1)
-    frac = s - (cum[k - 1] if k > 0 else 0.0)
-    take_idx = order[: k + 1]
-    take_w = np.concatenate([w[:k], [max(frac, 0.0)]])
+    order, k, frac, value = _greedy_fill(cond.values, cond.member_weights, s)
+    take = order[: k + 1]
+    take_w = cond.member_weights[take]
+    take_w[-1:] = frac   # the boundary member keeps only its filled fraction
     keep = take_w > 0.0
-    value = float(np.dot(v[:k], w[:k])) + float(v[k]) * max(frac, 0.0)
-    return WeightedSubset(cond.member_indices[take_idx[keep]], take_w[keep], value)
+    return WeightedSubset(cond.member_indices[take[keep]], take_w[keep], value)
 
 
 def conditional_quantile_integral(cond: ConditionalLaw, beta: float) -> float:
     """p0 * int_0^beta Q(u) du for the conditional quantile Q, exactly.
 
     Computed from the aggregated conditional step law, independently of the
-    greedy path in :func:`least_x_set`; the two agree within 1e-12.
+    greedy fill behind :func:`least_x_set`; the two agree within 1e-12.
     """
     if beta < -_ATOL or beta > 1.0 + _ATOL:
         raise BetaOutOfRange(f"beta must lie in [0,1], got {beta}")

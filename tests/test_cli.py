@@ -150,6 +150,26 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_check"]["ran"]
 
+    def test_bounds_alpha_and_export_parse_once(self, tmp_path, capsys, monkeypatch):
+        import selbounds.cli as cli
+
+        calls = []
+        real_parse = cli.parse_csv
+        monkeypatch.setattr(cli, "parse_csv", lambda text: calls.append(text) or real_parse(text))
+        p = tmp_path / "a.csv"
+        p.write_text("lower,upper\n0,1\n2,3\n")
+        code = main([
+            "bounds", "--input", str(p), "--alpha", "0.25", "--export", str(tmp_path / "c"),
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert payload["benchmark"]["quantile_attainability"] == {
+            "lo": 0.0, "hi": 1.0, "method": "closed-form",
+        }
+        assert list(payload["benchmark"]) == ["mean", "median", "quantile_attainability"]
+        assert list(payload)[-2:] == ["provenance", "exported"]
+
     def test_spec_source(self, capsys):
         code = main(["bounds", "--spec", "uniform(0,1)/uniform(1,2)", "--grid", "100"])
         assert code == 0

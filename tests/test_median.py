@@ -176,6 +176,35 @@ class TestMixedSelection:
             assert law_median_holds(sel.law(), m)
             done += 1
 
+        # desk-style instances: endpoints and pivots on a 0.25 grid, with
+        # pivots meeting endpoints, zero-width and tied scenarios.  The grid
+        # is offset by 0.1 so that theta*m + (1-theta)*m can round away from
+        # m: cells where both selections sit at m must keep m exactly
+        def grid(k):
+            return 0.1 + 0.25 * k
+
+        done = 0
+        while done < 60:
+            n = int(rng.integers(2, 9))
+            k_lo = rng.integers(-8, 9, n)
+            k_hi = k_lo + rng.integers(0, 9, n) * (rng.random(n) > 0.3)
+            if rng.random() < 0.5:
+                k_lo[1], k_hi[1] = k_lo[0], k_hi[0]
+            weight = rng.uniform(0.2, 1.0, n)
+            inst = DiscreteInstance.from_rows(list(zip(grid(k_lo), grid(k_hi), weight / weight.sum())))
+            m = float(grid(rng.integers(k_lo.min(), k_hi.max() + 1)))
+            try:
+                iv = median_restricted_mean_interval(inst, m)
+            except InfeasibleMedian:
+                continue
+            for theta in rng.uniform(0.0, 1.0, 10):
+                sel = mixed_selection(inst, m, float(theta))
+                sel.validate(inst)
+                want = theta * iv.hi + (1.0 - theta) * iv.lo
+                assert sel.mean() == pytest.approx(want, abs=1e-12)
+                assert law_median_holds(sel.law(), m)
+            done += 1
+
 
 class TestNoShrinkExample:
     def test_mean_zero_median_m_selection_grid(self):

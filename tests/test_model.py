@@ -16,7 +16,6 @@ from selbounds import (
     StepDistribution,
     discretize,
     marginal_law,
-    median_set,
     normalize,
     parse_law,
 )
@@ -127,10 +126,10 @@ class TestQuantile:
 
 class TestMedianSet:
     def test_flat_tie_interval(self):
-        assert median_set(StepDistribution([0.0, 2.0], [0.5, 0.5])).as_tuple() == (0.0, 2.0)
+        assert StepDistribution([0.0, 2.0], [0.5, 0.5]).median_interval().as_tuple() == (0.0, 2.0)
 
     def test_point_mass(self):
-        assert median_set(StepDistribution([1.0], [1.0])).as_tuple() == (1.0, 1.0)
+        assert StepDistribution([1.0], [1.0]).median_interval().as_tuple() == (1.0, 1.0)
 
     def test_three_atoms(self):
         # direct check of both inequalities per atom picks exactly {1}
@@ -138,7 +137,7 @@ class TestMedianSet:
         for m, member in ((0.0, False), (1.0, True), (2.0, False)):
             holds = dist.cdf(m) >= 0.5 and 1.0 - dist.cdf_strict(m) >= 0.5
             assert holds == member
-        assert median_set(dist).as_tuple() == (1.0, 1.0)
+        assert dist.median_interval().as_tuple() == (1.0, 1.0)
 
 
 class TestDiscretize:

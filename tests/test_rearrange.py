@@ -12,6 +12,7 @@ from selbounds import (
     conditional_quantile_integral,
     least_x_set,
     quantile_area,
+    sorted_partial_sum,
 )
 
 from helpers import brute_force_least_mass
@@ -58,6 +59,7 @@ class TestLeastXSet:
             ref = brute_force_least_mass(x, w, s)
             assert got.value == pytest.approx(ref, abs=1e-12)
             assert got.mass == pytest.approx(s, abs=1e-12)
+            assert sorted_partial_sum(x, w, s) == pytest.approx(ref, abs=1e-12)
 
     def test_dominates_no_random_subset(self):
         # inequality side: any measurable set of the same mass costs at least
