@@ -23,7 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,9 @@ TOLERANCES = {
     "dual_gap": 1e-4,
     "quadrature": 1e-8,
 }
+
+EXPORT_GRID = 1001   # points per exported CDF curve
+BOUND_GRID = 201     # points per bound curve: each one recomputes an interval
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +156,32 @@ class AnalysisRequest:
     run_oracle: bool = False
     export_path: str | None = None
     attainability_alpha: float | None = None   # bounds --alpha
-    export_grid: int = 1001
     tolerance: float = 1e-9
+    _csv_sha256: str | None = field(default=None, init=False, repr=False)
 
     def build_instance(self) -> DiscreteInstance:
         sources = sum(x is not None for x in (self.csv_path, self.csv_text, self.spec))
         if sources != 1:
             raise InputError("exactly one of --input / --spec must be given")
         if self.csv_path is not None:
-            return load_csv(self.csv_path)
+            return parse_csv(self._read_csv())
         if self.csv_text is not None:
             return parse_csv(self.csv_text)
         return discretize(self.spec)
 
+    def _read_csv(self) -> str:
+        """The CSV file's text, hashing its bytes first so parsing does not hold them."""
+        payload = Path(self.csv_path).read_bytes()
+        self._csv_sha256 = hashlib.sha256(payload).hexdigest()
+        return payload.decode("utf-8")
+
     def input_digest(self) -> str:
         if self.csv_path is not None:
-            payload = Path(self.csv_path).read_bytes()
-        elif self.csv_text is not None:
-            payload = self.csv_text.encode()
-        else:
-            payload = self.spec.label().encode()
-        return hashlib.sha256(payload).hexdigest()
+            if self._csv_sha256 is None:
+                self._read_csv()
+            return self._csv_sha256
+        text = self.csv_text if self.csv_text is not None else self.spec.label()
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _interval(iv: ClosedInterval, method: str) -> dict:
@@ -340,14 +348,10 @@ def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_pat
     Always: marginal CDFs on a value grid.  With a median restriction:
     extremal selection CDFs and the mean-bound curves over a pivot grid.
     With a mean restriction and target: probability bounds over a mean grid.
-    CDF sampling uses the full requested resolution; the bound curves,
-    which recompute an interval per grid point, are capped at 201 points.
     """
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
     written = []
-    gridn = request.export_grid
-    boundn = min(gridn, 201)
     schema = []
 
     def emit(name, header, rows, description):
@@ -366,7 +370,7 @@ def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_pat
     hi_law = marginal_law(instance, "upper")
     tmin, tmax = float(instance.lower.min()), float(instance.upper.max())
     pad = 0.05 * max(tmax - tmin, 1.0)
-    ts = np.linspace(tmin - pad, tmax + pad, gridn)
+    ts = np.linspace(tmin - pad, tmax + pad, EXPORT_GRID)
     emit(
         "cdf",
         ["t", "F_lower", "F_upper"],
@@ -387,7 +391,7 @@ def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_pat
         )
         lo_med = lo_law.quantile(0.5)
         hi_med = hi_law.quantile(0.5)
-        ms = np.linspace(lo_med, hi_med, boundn)
+        ms = np.linspace(lo_med, hi_med, BOUND_GRID)
         rows = []
         for mm in ms:
             iv = median_restricted_mean_interval(instance, float(mm))
@@ -400,7 +404,7 @@ def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_pat
         )
     elif kind == "mean" and request.target is not None:
         box = aumann_interval(instance)
-        ks = np.linspace(box.lo, box.hi, boundn)
+        ks = np.linspace(box.lo, box.hi, BOUND_GRID)
         rows = []
         for kk in ks:
             iv = mean_restricted_prob_bounds(instance, request.target, float(kk))
@@ -422,13 +426,16 @@ def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_pat
 # the chi-square worked example
 
 
-def chi2_example(grid_size: int = 200_001, weight_low: float = 0.3) -> dict:
+def chi2_example(
+    grid_size: int = 200_001, weight_low: float = 0.3, export_path: str | None = None
+) -> dict:
     """End-to-end comonotone chi-square example report.
 
     Couples chi2(2) and chi2(5) through one uniform grid, restricts the
     median at the 30/70 blend of the marginal medians, and reports the
     restricted mean interval both from the conditional-quantile formula
-    and from the marginal-CDF cost terms.
+    and from the marginal-CDF cost terms.  With ``export_path`` the same
+    instance also serves the curve export (``example-chi2 --export``).
     """
     spec = ComonotoneSpec(parse_law("chi2(2)"), parse_law("chi2(5)"), grid_size)
     instance = discretize(spec)
@@ -440,7 +447,7 @@ def chi2_example(grid_size: int = 200_001, weight_low: float = 0.3) -> dict:
     interval = median_restricted_mean_interval(instance, m)
     terms_discrete = marginal_cost_terms(instance, m)
     terms_param = marginal_cost_terms_parametric(spec.lower_law, spec.upper_law, m)
-    return {
+    report = {
         "grid_size": grid_size,
         "median_lower": m_l,
         "median_upper": m_u,
@@ -458,6 +465,10 @@ def chi2_example(grid_size: int = 200_001, weight_low: float = 0.3) -> dict:
             "implied": _interval(terms_param.implied, "quadrature"),
         },
     }
+    if export_path:
+        request = AnalysisRequest(spec=spec, restriction=("median", m))
+        report["exported"] = export_curves(request, instance, export_path)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +599,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "example-chi2":
-            report = chi2_example(args.grid)
-            if args.export:
-                spec = ComonotoneSpec(parse_law("chi2(2)"), parse_law("chi2(5)"), args.grid)
-                req = AnalysisRequest(spec=spec, restriction=("median", report["m"]))
-                report["exported"] = export_curves(req, discretize(spec), args.export)
+            report = chi2_example(args.grid, export_path=args.export)
             _emit(report, args.out)
             return 0
 

@@ -8,11 +8,11 @@ gap between the relevant interval endpoint and the nearest admissible
 point of A (or of its complement).  The optimal selections are bang-bang
 in that gap: every scenario whose gap clears a common threshold switches,
 and the scenario exactly at the threshold splits its mass (boundary
-randomization) so the mean constraint holds with equality.  Each such
-selection is two scenario-aligned cells, the switched mass at its
-in-target point and the rest at the endpoint, so
-:func:`threshold_selection` and :func:`calibrate_mean` share one assembly
-path through :meth:`Selection.from_cells`.
+randomization) so the mean constraint holds with equality.  Finding that
+threshold is the greedy fill of :mod:`selbounds.rearrange` over mean
+costs.  Each such selection is two scenario-aligned cells, the switched
+mass at its in-target point and the rest at the endpoint, built by
+:meth:`Selection.from_cells`.
 
 The same values admit a dual description as envelopes over a scalar
 multiplier; :func:`dual_envelope` evaluates it as an independent check.
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InputError, KappaInfeasible
 from .model import ClosedInterval, DiscreteInstance
 from .benchmarks import Selection, aumann_interval
+from .rearrange import _greedy_fill
 
 _ATOL = 1e-12
 
@@ -170,9 +171,10 @@ def threshold_selection(
         cutoff = -1.0 / lam if np.isfinite(lam) else 0.0
         gaps, inside, outside = prof.delta_minus, prof.a_minus, instance.lower
 
-    go_in = prof.hit & (gaps < cutoff)
-    tie = prof.hit & (gaps == cutoff)
-    return _assemble(instance, inside, outside, go_in, tie, tie_in)
+    # miss scenarios have infinite gaps and never go in
+    w = instance.weight
+    go_in = w * np.where(gaps < cutoff, 1.0, tie_in * (gaps == cutoff))
+    return Selection.from_cells(w, [(inside, go_in)], outside)
 
 
 @dataclass(frozen=True)
@@ -184,63 +186,40 @@ class Calibration:
     probability: float
 
 
-def _engagement(gaps: np.ndarray, weights: np.ndarray, need: float, prefer_large: bool):
-    """Solve the bang-bang mean equation on a family of switchable scenarios.
+def _engage(gaps: np.ndarray, w: np.ndarray, need: float, descending: bool = False):
+    """Engaged weight per scenario for the mean shift ``need``.
 
-    Each scenario i can 'engage', shifting the mean by weights[i]*gaps[i];
-    engagement proceeds through gaps in ascending order (or descending when
-    prefer_large) until the total shift equals ``need``; the marginal gap
-    class engages a common fraction theta.  Returns
-    (threshold_gap, theta, fully_engaged_mask, tie_mask).
+    Engaging scenario i shifts the mean by gaps[i] * w[i], so the cheapest
+    engagements per unit of probability are one greedy fill over the gaps
+    (descending for the infimum) with mass ``need`` in units of mean.  The
+    boundary scenario engages the fraction that makes the shift exact;
+    zero gaps engage for free.  Returns the engaged weights and the
+    boundary gap (0.0 when nothing needs to move).
     """
-    n = gaps.size
-    if need <= _ATOL:
-        # engage only the free (zero-gap) class, fully, when engaging is
-        # costless; for prefer_large nothing needs to engage.
-        if not prefer_large and n:
-            tie = gaps == 0.0
-            return 0.0, 1.0, np.zeros(n, dtype=bool), tie
-        return 0.0, 0.0, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    total = float(np.dot(gaps, weights))
+    total = float(np.dot(gaps, w))
     if need > total + max(1e-9, 1e-9 * total):
         raise KappaInfeasible("mean target outside the reachable range")
-    need = min(need, total)
-    key = -gaps if prefer_large else gaps
-    order = np.lexsort((np.arange(n), key))
-    buy = gaps[order] * weights[order]
-    cum = np.cumsum(buy)
-    k = int(np.searchsorted(cum, need - 1e-15, side="left"))
-    k = min(k, n - 1)
-    t_star = float(gaps[order[k]])
-    if prefer_large:
-        full = gaps > t_star
-    else:
-        full = gaps < t_star
-    tie = gaps == t_star
-    buy_full = float(np.dot(gaps[full], weights[full]))
-    tie_buy = t_star * float(weights[tie].sum())
-    if tie_buy > 0.0:
-        theta = (need - buy_full) / tie_buy
-        theta = min(max(theta, 0.0), 1.0)
-    else:
-        theta = 1.0 if not prefer_large else 0.0
-    return t_star, theta, full, tie
-
-
-def _assemble(instance, engaged_value, base_value, full, tie, theta):
-    """Selection: engaged scenarios at engaged_value, tie split by theta."""
-    w = instance.weight
-    engaged_w = w * np.where(full, 1.0, theta * tie)
-    return Selection.from_cells(w, [(engaged_value, engaged_w)], base_value)
+    cost = gaps * w
+    mass = min(need, total) if need > _ATOL else 0.0
+    order, k, frac, _ = _greedy_fill(-gaps if descending else gaps, cost, mass)
+    engaged = np.where(gaps == 0.0, w, 0.0)
+    engaged[order[:k]] = w[order[:k]]
+    if mass == 0.0:
+        return engaged, 0.0
+    edge = order[k]
+    engaged[edge] = w[edge] * min(frac / cost[edge], 1.0)
+    return engaged, float(gaps[edge])
 
 
 def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) -> Calibration:
     """Probability-maximizing selection with mean exactly kappa.
 
-    Solves the threshold mean equation by sorting the switch gaps and a
-    single linear tie solve, which is exact on step laws; the tie class
-    carries the boundary randomization.  lambda_star is +inf / -inf at the
-    mean extremes (the corresponding selections are the pure endpoints).
+    Beyond the slack span of the hit-maximizing selections, one greedy
+    fill over mean costs engages hit scenarios in ascending gap order, each
+    buying gap * weight of mean shift; the boundary scenario engages the
+    fraction that makes the mean exact (boundary randomization).
+    lambda_star is +-1 / gap of that scenario, 0 when slack, and +-inf at
+    the mean extremes, where nothing moves and selections are endpoints.
     """
     box = aumann_interval(instance)
     if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
@@ -280,28 +259,22 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
         base_value = instance.lower
         sign = -1.0
 
-    t_star, theta, full_sub, tie_sub = _engagement(gaps[hit], w[hit], need, prefer_large=False)
-    pool = np.flatnonzero(hit)
-    full = np.zeros(instance.n, dtype=bool)
-    tie = np.zeros(instance.n, dtype=bool)
-    full[pool[full_sub]] = True
-    tie[pool[tie_sub]] = True
-
-    prob = float(w[full].sum() + theta * w[tie].sum())
-    sel = _assemble(instance, engaged_value, base_value, full, tie, theta)
-    lam = math.inf if t_star == 0.0 else 1.0 / t_star
-    return Calibration(sign * lam, sel, prob)
+    engaged = np.zeros(instance.n)
+    engaged[hit], edge_gap = _engage(gaps[hit], w[hit], need)
+    sel = Selection.from_cells(w, [(engaged_value, engaged)], base_value)
+    lam = math.inf if edge_gap == 0.0 else 1.0 / edge_gap
+    return Calibration(sign * lam, sel, float(engaged.sum()))
 
 
 def _min_probability(instance: DiscreteInstance, target: TargetSet, kappa: float) -> float:
     """inf P(y in A) subject to the mean pin (value only).
 
-    Mirrors the calibration machinery: scenarios flee the target through
-    the nearest complement point; when the mean forces some back inside,
-    the cheapest per-probability re-entries are the LARGEST endpoint gaps,
-    so engagement runs through gaps in descending order.  The infimum may
-    be unattained (complement extremes are closure points); the value is
-    still exact.
+    Scenarios flee the target through the nearest complement point.  When
+    the mean forces some back inside, the cheapest re-entries per unit of
+    probability are the LARGEST gaps, so the same greedy fill over mean
+    costs runs through the gaps in descending order and the boundary
+    scenario re-enters fractionally.  The infimum may be unattained
+    (complement extremes are closure points); the value is still exact.
     """
     box = aumann_interval(instance)
     if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
@@ -329,11 +302,8 @@ def _min_probability(instance: DiscreteInstance, target: TargetSet, kappa: float
         need = kappa - j_hi
 
     pool = partial & (gaps > 0.0)
-    t_star, theta, full_sub, tie_sub = _engagement(
-        gaps[pool], w[pool], need, prefer_large=True
-    )
-    engaged = float(w[pool][full_sub].sum() + theta * w[pool][tie_sub].sum())
-    return p_contain + engaged
+    engaged, _ = _engage(gaps[pool], w[pool], need, descending=True)
+    return p_contain + float(engaged.sum())
 
 
 def mean_restricted_prob_bounds(

@@ -17,6 +17,7 @@ quantile constraint pins P(y < q) strictly below alpha.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .model import ClosedInterval, DiscreteInstance
 from .benchmarks import Selection, aumann_interval, quantile_attainability_range
-from .median import pivot_mean_interval
+from .median import partition, pivot_mean_interval
 from .events import _minimize_convex
 
 _ATOL = 1e-12
@@ -228,81 +229,55 @@ def mean_restricted_quantile_range(
 ) -> ClosedInterval:
     """Attainable alpha-quantiles among selections with mean kappa.
 
-    A target q is compatible with the mean pin iff kappa lies inside the
-    quantile-restricted mean interval at q.  Both interval endpoints are
-    nondecreasing in q, affine between scenario endpoints, but may jump
-    upward at breakpoints (a zero-width scenario switches sides in one
-    step), so each segment is handled from two interior samples and the
-    breakpoints themselves are tested directly.  Returned endpoints are
-    the closure of the feasible set; an endpoint at an upward jump may be
-    a supremum rather than attained.
+    q is compatible with the mean pin iff E_min(q) <= kappa <= E_max(q).
+    Both maps are nondecreasing in q, affine between breakpoints (scenario
+    endpoints) and may jump upward at one, so a bisection over the sorted
+    breakpoints finds the first with E_max >= kappa and the first with
+    E_min > kappa.  The segment before each is an exact line: its slope is
+    the capped contact mass min(max(alpha - p_minus, 0), p0) for E_max, or
+    the lifted one min(max(1 - alpha - p_plus, 0), p0) for E_min, from one
+    partition at the midpoint.  Endpoints are closure values: one on an
+    upward jump (a zero-width scenario) may be a supremum, not attained.
     """
     box = aumann_interval(instance)
     if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
         raise InfeasibleQuantile(f"kappa={kappa} outside [{box.lo}, {box.hi}]")
     kappa = box.clip(kappa)
     rng = quantile_attainability_range(instance, alpha)
-
-    def endpoints(q):
-        iv = pivot_mean_interval(instance, q, alpha, 1.0 - alpha)
-        return iv.lo, iv.hi
-
     cuts = np.unique(np.concatenate([instance.lower, instance.upper]))
     cuts = cuts[(cuts > rng.lo) & (cuts < rng.hi)]
     grid = np.concatenate([[rng.lo], cuts, [rng.hi]])
-
     tol = _ATOL * max(1.0, abs(kappa))
-    q_lo = None   # inf of {q : e_max(q) >= kappa}
-    q_hi = None   # sup of {q : e_min(q) <= kappa}
 
-    for g in grid:
-        lo_g, hi_g = endpoints(float(g))
-        if hi_g >= kappa - tol and q_lo is None:
-            q_lo = float(g)
-        if lo_g <= kappa + tol:
-            q_hi = float(g)
+    def at(q):
+        return pivot_mean_interval(instance, float(q), alpha, 1.0 - alpha)
 
-    for a, b in zip(grid[:-1], grid[1:]):
-        if b - a <= 0.0:
-            continue
-        # both endpoint maps are affine on the open segment; fit the line
-        # from two interior samples (the breakpoint values themselves may
-        # sit below an upward jump and are handled in the loop above)
-        q1 = a + (b - a) / 3.0
-        q2 = b - (b - a) / 3.0
-        lo1, hi1 = endpoints(q1)
-        lo2, hi2 = endpoints(q2)
-        s_lo = (lo2 - lo1) / (q2 - q1)
-        s_hi = (hi2 - hi1) / (q2 - q1)
+    def first(holds):
+        return bisect.bisect_left(range(grid.size), True, key=lambda j: holds(at(grid[j])))
 
-        # e_max: inf of {q in (a,b) : line_hi(q) >= kappa}
-        ra = hi1 + s_hi * (a - q1)
-        rb = hi1 + s_hi * (b - q1)
-        cand = None
-        if ra >= kappa - tol:
-            cand = a
-        elif rb >= kappa - tol and s_hi > 0.0:
-            cand = q1 + (kappa - hi1) / s_hi
-        if cand is not None:
-            cand = min(max(cand, a), b)
-            if q_lo is None or cand < q_lo:
-                q_lo = cand
+    def crossing(i, upper_side):
+        """Where E_max (upper_side) or E_min reaches kappa on (grid[i-1], grid[i])."""
+        a, b = float(grid[i - 1]), float(grid[i])
+        mid = 0.5 * (a + b)
+        iv, part = at(mid), partition(instance, mid)
+        if upper_side:
+            value, slope = iv.hi, min(max(alpha - part.p_minus, 0.0), part.p0)
+            if value + slope * (a - mid) >= kappa - tol:
+                return a   # on the upward jump at a
+        else:
+            value, slope = iv.lo, min(max(1.0 - alpha - part.p_plus, 0.0), part.p0)
+            if value + slope * (b - mid) <= kappa + tol:
+                return b   # on the upward jump at b
+        if slope > 0.0:
+            return min(max(mid + (kappa - value) / slope, a), b)
+        return b if upper_side else a
 
-        # e_min: sup of {q in (a,b) : line_lo(q) <= kappa}
-        ra = lo1 + s_lo * (a - q1)
-        rb = lo1 + s_lo * (b - q1)
-        cand = None
-        if rb <= kappa + tol:
-            cand = b
-        elif ra <= kappa + tol and s_lo > 0.0:
-            cand = q1 + (kappa - lo1) / s_lo
-        if cand is not None:
-            cand = min(max(cand, a), b)
-            if q_hi is None or cand > q_hi:
-                q_hi = cand
-
-    if q_lo is None or q_hi is None:
+    i_lo = first(lambda iv: iv.hi >= kappa - tol)
+    i_hi = first(lambda iv: iv.lo > kappa + tol)
+    if i_lo == grid.size or i_hi == 0:
         raise InfeasibleQuantile(
             f"no quantile at level {alpha} is compatible with mean {kappa}"
         )
+    q_lo = float(grid[0]) if i_lo == 0 else crossing(i_lo, True)
+    q_hi = float(grid[-1]) if i_hi == grid.size else crossing(i_hi, False)
     return ClosedInterval(min(q_lo, q_hi), max(q_lo, q_hi))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -101,6 +102,20 @@ class TestRun:
         assert len(prov["input_sha256"]) == 64
         assert prov["tool_version"]
         assert "mass" in prov["tolerances"]
+
+    def test_csv_file_read_once(self, tmp_path, monkeypatch):
+        # the report hashes the bytes it parsed instead of reading the file again
+        p = tmp_path / "a.csv"
+        p.write_text("lower,upper,weight\n-2,0,1\n0,2,1\n")
+        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        opened = []
+        real_open = Path.open
+        monkeypatch.setattr(
+            Path, "open", lambda self, *a, **kw: opened.append(self) or real_open(self, *a, **kw)
+        )
+        report = run(AnalysisRequest(csv_path=str(p), restriction=("median", -1.0)))
+        assert opened == [p]
+        assert report["provenance"]["input_sha256"] == digest
 
 
 class TestMainExitCodes:
@@ -221,6 +236,21 @@ class TestCurveExport:
         ls = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(us, 2) <= 1e-8)   # U concave along the grid
         assert np.all(np.diff(ls, 2) >= -1e-8)  # L convex
+
+    def test_chi2_export_discretizes_once(self, tmp_path, capsys, monkeypatch):
+        import selbounds.cli as cli
+
+        calls = []
+        real = cli.discretize
+        monkeypatch.setattr(cli, "discretize", lambda spec: calls.append(spec) or real(spec))
+        code = main(["example-chi2", "--grid", "2001", "--export", str(tmp_path / "chi")])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert list(payload)[-1] == "exported"
+        assert {Path(f).name for f in payload["exported"]} == {
+            "chi_cdf.tsv", "chi_selection_cdf.tsv", "chi_bounds.tsv", "chi_schema.txt",
+        }
 
     def test_chi2_export_cdf_levels(self, tmp_path):
         # moderate grid keeps this quick; crossings land within 1e-3

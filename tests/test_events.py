@@ -187,14 +187,27 @@ class TestCalibrateMean:
 
     def test_calibrated_selection_feasible_on_randoms(self):
         rng = np.random.default_rng(83)
-        for _ in range(40):
-            inst = random_instance(rng)
-            target = random_target(rng)
+        cases = [(random_instance(rng), random_target(rng)) for _ in range(40)]
+        # 0.25-grid instances against a three-piece target: hit scenarios
+        # share a gap at different in-target points, so the boundary
+        # scenario splits inside a tie
+        grid_target = TargetSet.from_pairs([[-1.5, -1.0], [0.0, 0.5], [1.25, 1.5]])
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            lower = rng.integers(-10, 8, n) * 0.25
+            upper = lower + rng.integers(0, 7, n) * 0.25
+            weight = rng.integers(1, 4, n) / 4.0
+            rows = list(zip(lower, upper, weight / weight.sum()))
+            cases.append((DiscreteInstance.from_rows(rows), grid_target))
+        for inst, target in cases:
             box = aumann_interval(inst)
             kappa = float(rng.uniform(box.lo, box.hi))
             cal = calibrate_mean(inst, target, kappa)
             cal.selection.validate(inst)
             assert cal.selection.mean() == pytest.approx(kappa, abs=1e-10)
+            inside = [target.contains(float(v)) for v in cal.selection.value]
+            in_mass = float(cal.selection.subweight[inside].sum())
+            assert in_mass == pytest.approx(cal.probability, abs=1e-12)
 
 
 class TestMeanRestrictedBounds:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,46 @@ class TestMeanRestrictedQuantileRange:
     def test_no_shrink_two_state(self):
         rng_q = mean_restricted_quantile_range(two_state_instance(), 0.5, 0.0)
         assert rng_q.as_tuple() == (-2.0, 0.0)
+
+    def test_endpoint_on_upward_jump(self):
+        # weights 1/4 each on [0,3], [0,3], [1,1], [2,3]; alpha = 1/2.
+        # E_max(q) = 1 + q/2 on [0,1) and jumps to 2 at q = 1, where the
+        # zero-width scenario supplies the capped mass at no cost; so with
+        # kappa = 1.6 inside the jump the lower end is exactly 1.  E_min(q)
+        # = 1/4 + q/2 on (2,3] meets 1.6 at q = 2.7.
+        inst = DiscreteInstance.from_rows(
+            [(0.0, 3.0, 0.25), (0.0, 3.0, 0.25), (1.0, 1.0, 0.25), (2.0, 3.0, 0.25)]
+        )
+        got = mean_restricted_quantile_range(inst, 0.5, 1.6)
+        assert got.lo == 1.0
+        assert got.hi == pytest.approx(2.7, abs=1e-12)
+        at_jump = quantile_restricted_mean_interval(inst, QuantileRestriction(0.5, 1.0))
+        assert at_jump.as_tuple() == (0.75, 2.0)
+        below = quantile_restricted_mean_interval(inst, QuantileRestriction(0.5, 1.0 - 1e-9))
+        assert below.hi < 1.6
+
+    def test_bisection_call_count(self, monkeypatch):
+        # one monotone bisection per endpoint plus one segment midpoint each,
+        # not a scan over every breakpoint
+        import selbounds.extensions as ext
+
+        calls = []
+        real = ext.pivot_mean_interval
+        monkeypatch.setattr(
+            ext, "pivot_mean_interval", lambda *a: calls.append(a[1]) or real(*a)
+        )
+        inst = random_instance(np.random.default_rng(37), n=2000)
+        box = aumann_interval(inst)
+        kappa = box.lo + 0.4 * box.width
+        got = mean_restricted_quantile_range(inst, 0.5, kappa)
+        band = quantile_attainability_range(inst, 0.5)
+        ends = np.unique(np.concatenate([inst.lower, inst.upper]))
+        breakpoints = int(np.count_nonzero((ends >= band.lo) & (ends <= band.hi)))
+        assert breakpoints > 500
+        assert len(calls) <= 2 * math.ceil(math.log2(breakpoints + 1)) + 2
+        for q in (got.lo, got.hi):
+            iv = real(inst, q, 0.5, 0.5)
+            assert iv.lo - 1e-9 <= kappa <= iv.hi + 1e-9
 
     def test_inside_attainability(self):
         rng = np.random.default_rng(29)
