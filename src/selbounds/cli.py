@@ -94,17 +94,20 @@ def load_csv(path) -> DiscreteInstance:
 
 
 def parse_csv(text: str) -> DiscreteInstance:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise EmptyFile("no rows in CSV input")
-    header = [h.strip().lower() for h in lines[0].split(",")]
-    if header[:2] != ["lower", "upper"] or len(header) > 3 or (
-        len(header) == 3 and header[2] != "weight"
-    ):
-        raise ParseError(f"expected header lower,upper[,weight], got {lines[0]!r}", line=1)
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    """Scenarios from CSV text; blank and ``#`` lines are skipped, and
+    errors name the line as numbered in the text."""
+    header, rows = None, []
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if header is None:
+            header = [h.strip().lower() for h in ln.split(",")]
+            if header[:2] != ["lower", "upper"] or len(header) > 3 or (
+                len(header) == 3 and header[2] != "weight"
+            ):
+                raise ParseError(f"expected header lower,upper[,weight], got {ln!r}", line=lineno)
+            continue
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(header):
             raise ParseError(f"row has {len(cells)} cells, expected {len(header)}", line=lineno)
@@ -115,6 +118,8 @@ def parse_csv(text: str) -> DiscreteInstance:
         if vals[0] > vals[1] + 1e-12:
             raise InvertedInterval(f"line {lineno}: lower={vals[0]} > upper={vals[1]}")
         rows.append(vals)
+    if header is None:
+        raise EmptyFile("no rows in CSV input")
     if not rows:
         raise EmptyFile("CSV contains a header but no data rows")
     return DiscreteInstance.from_rows(rows)
@@ -156,7 +161,6 @@ class AnalysisRequest:
     run_oracle: bool = False
     export_path: str | None = None
     attainability_alpha: float | None = None   # bounds --alpha
-    tolerance: float = 1e-9
     _csv_sha256: str | None = field(default=None, init=False, repr=False)
 
     def build_instance(self) -> DiscreteInstance:
@@ -209,10 +213,10 @@ def run(request: AnalysisRequest) -> dict:
     }
     report["instance"] = {"scenarios": int(instance.n), "total_mass": instance.total_mass}
 
-    box = aumann_interval(instance)
+    median_range = median_benchmark(instance)
     benchmark = {
-        "mean": _interval(box, "closed-form"),
-        "median": _interval(median_benchmark(instance), "closed-form"),
+        "mean": _interval(aumann_interval(instance), "closed-form"),
+        "median": _interval(median_range, "closed-form"),
     }
     if request.target is not None:
         benchmark["probability"] = _interval(
@@ -227,7 +231,7 @@ def run(request: AnalysisRequest) -> dict:
     report["feasibility"] = {"status": "ok", "diagnosis": None}
     restricted: dict = {}
     try:
-        _run_restriction(request, instance, restricted)
+        _run_restriction(request, instance, median_range, restricted)
     except InfeasibleRestriction as exc:
         report["feasibility"] = {"status": "infeasible", "diagnosis": str(exc)}
     report["restricted"] = restricted or None
@@ -246,7 +250,7 @@ def run(request: AnalysisRequest) -> dict:
     return report
 
 
-def _run_restriction(request, instance, restricted) -> None:
+def _run_restriction(request, instance, median_range, restricted) -> None:
     kind = request.restriction[0] if request.restriction else None
     if kind == "median":
         m = request.restriction[1]
@@ -265,9 +269,7 @@ def _run_restriction(request, instance, restricted) -> None:
                 "contact set empty: restriction feasible but vacuous, "
                 "interval equals the unrestricted mean range"
             )
-        low = marginal_law(instance, "lower")
-        high = marginal_law(instance, "upper")
-        if low.quantile(0.5) <= m <= high.quantile(0.5):
+        if median_range.contains(m):
             terms = marginal_cost_terms(instance, m)
             restricted["marginal_cost_terms"] = {
                 "s_lower": terms.s_lower,
@@ -493,8 +495,6 @@ def _add_source_args(p):
     p.add_argument("--grid", type=int, default=1000, help="grid size for --spec")
     p.add_argument("--target", help="target set as JSON [[a,b],...]")
     p.add_argument("--export", help="base path for curve export files")
-    p.add_argument("--oracle", action="store_true", help="run the oracle cross-check")
-    p.add_argument("--tolerance", type=float, default=1e-9, help="report tolerance")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -532,6 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--q", type=float)
+    p.add_argument("--tolerance", type=float, default=1e-9, help="largest accepted oracle delta")
 
     p = sub.add_parser("example-chi2", help="built-in chi-square worked example")
     p.add_argument("--grid", type=int, default=200_001)
@@ -553,10 +554,9 @@ def _request_from_args(args) -> AnalysisRequest:
         csv_path=args.input,
         spec=spec,
         target=target,
-        run_oracle=getattr(args, "oracle", False),
+        run_oracle=args.command == "verify",
         export_path=getattr(args, "export", None),
         attainability_alpha=getattr(args, "alpha", None) if args.command == "bounds" else None,
-        tolerance=getattr(args, "tolerance", 1e-9),
     )
 
 
@@ -605,18 +605,16 @@ def main(argv=None) -> int:
 
         request = _request_from_args(args)
         request.restriction = _restriction_from_args(args, args.command)
-        if args.command == "verify":
-            request.run_oracle = True
         report = run(request)
         _emit(report, getattr(args, "out", None))
         if report["feasibility"]["status"] == "infeasible":
             return 2
         if args.command == "verify":
             check = report.get("oracle_check") or {}
-            if check.get("ran") and check["max_delta"] > request.tolerance:
+            if check.get("ran") and check["max_delta"] > args.tolerance:
                 print(
                     f"verify: oracle delta {check['max_delta']:.3g} exceeds "
-                    f"tolerance {request.tolerance:.3g}",
+                    f"tolerance {args.tolerance:.3g}",
                     file=sys.stderr,
                 )
                 return 1

@@ -59,8 +59,8 @@ class SelectionMismatch(InputError):
 
 
 class InvalidPower(InputError):
-    """Power transform undefined: need an odd integer exponent or a
-    nonnegative instance with positive exponent."""
+    """Power transform undefined: the exponent must be positive, and an
+    odd integer unless the instance is nonnegative."""
 
 
 class ParseError(InputError):

@@ -74,12 +74,10 @@ def _power(x: np.ndarray, r: float) -> np.ndarray:
 
 
 def _check_power_validity(instance: DiscreteInstance, r: float) -> None:
-    if _is_odd_integer(r):
-        return
-    if r > 0.0 and float(instance.lower.min()) >= -_ATOL:
+    if r > 0.0 and (_is_odd_integer(r) or float(instance.lower.min()) >= -_ATOL):
         return
     raise InvalidPower(
-        f"power r={r} needs an odd integer exponent or a nonnegative instance"
+        f"power r={r} needs a positive exponent, odd integer unless the instance is nonnegative"
     )
 
 
@@ -138,6 +136,8 @@ def moment_restricted_mean_interval(
     envelopes are convex (resp. concave) in the multiplier, so an
     expanding-bracket golden-section search is exact up to refinement
     tolerance; results are clipped into the unrestricted mean interval.
+    The search runs on the data divided by s = max |endpoint| (mu_r by
+    s^r), so its tolerances do not depend on the units.
     """
     r, mu = restriction.r, restriction.mu_r
     _check_power_validity(instance, r)
@@ -152,7 +152,10 @@ def moment_restricted_mean_interval(
     if r == 1.0:
         return ClosedInterval(mu, mu)
 
-    w, lo, hi = instance.weight, instance.lower, instance.upper
+    s = float(max(np.abs(instance.lower).max(), np.abs(instance.upper).max()))
+    if s == 0.0:
+        return ClosedInterval(0.0, 0.0)
+    w, lo, hi, mu = instance.weight, instance.lower / s, instance.upper / s, mu / s**r
 
     def upper_obj(lam):
         return float(np.dot(w, _scenario_envelope(lo, hi, r, lam, True))) - lam * mu
@@ -160,8 +163,8 @@ def moment_restricted_mean_interval(
     def lower_obj_neg(lam):
         return -(float(np.dot(w, _scenario_envelope(lo, hi, r, lam, False))) - lam * mu)
 
-    e_hi = _minimize_convex(upper_obj)
-    e_lo = -_minimize_convex(lower_obj_neg)
+    e_hi = s * _minimize_convex(upper_obj)
+    e_lo = -s * _minimize_convex(lower_obj_neg)
     return ClosedInterval(box.clip(min(e_lo, e_hi)), box.clip(max(e_lo, e_hi)))
 
 

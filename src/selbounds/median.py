@@ -199,7 +199,7 @@ def marginal_cost_terms(instance: DiscreteInstance, m: float) -> CostTerms:
     high = marginal_law(instance, "upper")
     m_l = low.quantile(0.5)
     m_u = high.quantile(0.5)
-    _check_span(m, m_l, m_u)
+    m = _check_span(m, m_l, m_u)
     s_lower = low.integrate_cdf_offset(m_l, m, 0.5)
     s_upper = -high.integrate_cdf_offset(m, m_u, 0.5)
     implied = ClosedInterval(instance.mean_lower() + s_lower, instance.mean_upper() - s_upper)
@@ -212,19 +212,21 @@ def marginal_cost_terms_parametric(
     """Same cost terms for parametric marginals, by adaptive quadrature."""
     m_l = float(np.asarray(lower_law.ppf(np.array([0.5])))[0])
     m_u = float(np.asarray(upper_law.ppf(np.array([0.5])))[0])
-    _check_span(m, m_l, m_u)
+    m = _check_span(m, m_l, m_u)
     s_lower = _adaptive_simpson(lambda t: float(lower_law.cdf(t)) - 0.5, m_l, m, tol)
     s_upper = _adaptive_simpson(lambda t: 0.5 - float(upper_law.cdf(t)), m, m_u, tol)
     implied = ClosedInterval(lower_law.mean() + s_lower, upper_law.mean() - s_upper)
     return CostTerms(s_lower, s_upper, implied)
 
 
-def _check_span(m: float, m_l: float, m_u: float) -> None:
+def _check_span(m: float, m_l: float, m_u: float) -> float:
+    """m clipped into [m_l, m_u]; raises when it lies outside by more than 1e-9 relative."""
     tol = 1e-9 * max(1.0, abs(m_l), abs(m_u))
     if not (m_l - tol <= m <= m_u + tol):
         raise MOutsideMedianSpan(
             f"m={m} outside the marginal median span [{m_l}, {m_u}]"
         )
+    return min(max(m, m_l), m_u)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:

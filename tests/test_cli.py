@@ -37,6 +37,19 @@ class TestLoadCsv:
             parse_csv("lower,upper\n2,1\n")
         assert "line 2" in str(exc.value)
 
+    def test_errors_name_the_file_line(self):
+        # blank and comment lines count in the line numbers
+        with pytest.raises(InvertedInterval) as exc:
+            parse_csv("# note\nlower,upper\n\n2,1\n")
+        assert "line 4" in str(exc.value)
+        for text in ("# note\nlower,upper\n\n0,abc\n", "# note\nlower,upper\n\n0\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_csv(text)
+            assert exc.value.line == 4
+        with pytest.raises(ParseError) as exc:
+            parse_csv("# note\n\nx,y\n0,1\n")
+        assert exc.value.line == 3
+
     def test_empty_and_malformed(self):
         with pytest.raises(EmptyFile):
             parse_csv("")
@@ -90,6 +103,21 @@ class TestRun:
         report = run(req)
         check = report["oracle_check"]
         assert check["ran"] and check["max_delta"] <= 1e-9
+
+    def test_median_report_builds_each_marginal_law_twice(self, monkeypatch):
+        # once for the median benchmark, once for the cost terms
+        import selbounds.benchmarks
+        import selbounds.cli
+        import selbounds.median
+        from selbounds.model import marginal_law
+
+        calls = []
+        counted = lambda instance, side: calls.append(side) or marginal_law(instance, side)
+        for module in (selbounds.benchmarks, selbounds.cli, selbounds.median):
+            monkeypatch.setattr(module, "marginal_law", counted)
+        report = run(self.two_state_request(restriction=("median", -1.0)))
+        assert len(calls) == 4
+        assert "marginal_cost_terms" in report["restricted"]
 
     def test_deterministic_bytes(self):
         a = report_to_json(run(self.two_state_request(restriction=("median", -1.0))))
@@ -164,6 +192,33 @@ class TestMainExitCodes:
         assert main(["verify", "--input", str(p), "--m", "-0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_check"]["ran"]
+
+    def test_oracle_and_tolerance_belong_to_verify(self, tmp_path, capsys):
+        p = tmp_path / "a.csv"
+        p.write_text("lower,upper\n0,1\n")
+        assert main(["bounds", "--input", str(p), "--oracle"]) == 1
+        assert main(["restrict-median", "--input", str(p), "--m", "0.5", "--tolerance", "1"]) == 1
+
+    def test_negative_moment_order_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "a.csv"
+        p.write_text("lower,upper\n1,4\n2,3\n")
+        assert main(["restrict-moment", "--input", str(p), "--r", "-1", "--mu", "0.4"]) == 1
+
+    def test_verify_moment_shape(self, tmp_path, capsys):
+        # a shape on which a refined-mesh oracle overstated the lower endpoint by 2.2e-2
+        p = tmp_path / "a.csv"
+        p.write_text(
+            "lower,upper,weight\n"
+            "0.16779440901868237,0.6469265856418469,0.5821696144796952\n"
+            "0.9032464289430996,1.86857267563935,0.4178303855203049\n"
+        )
+        code = main([
+            "verify", "--input", str(p), "--r", "2", "--mu", "0.8550213633821406",
+            "--tolerance", "1e-6",
+        ])
+        assert code == 0
+        check = json.loads(capsys.readouterr().out)["oracle_check"]
+        assert check["ran"] and check["max_delta"] <= 1e-6
 
     def test_bounds_alpha_and_export_parse_once(self, tmp_path, capsys, monkeypatch):
         import selbounds.cli as cli

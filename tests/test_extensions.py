@@ -63,6 +63,14 @@ class TestPowerImage:
             power_image_interval(inst, 2.0)
         with pytest.raises(InvalidPower):
             power_image_interval(inst, 0.5)
+        # negative orders: 1/x has no finite image on a scenario across 0
+        with pytest.raises(InvalidPower):
+            power_image_interval(inst, -1.0)
+        pos = DiscreteInstance.from_rows([(1.0, 4.0), (2.0, 3.0)])
+        with pytest.raises(InvalidPower):
+            power_image_interval(pos, -1.0)
+        with pytest.raises(InvalidPower):
+            moment_restricted_mean_interval(pos, MomentRestriction(-1.0, 0.4))
 
 
 class TestMomentRestrictedInterval:
@@ -101,6 +109,28 @@ class TestMomentRestrictedInterval:
             ref = oracle.exact_moment_mean_bounds(inst, r, mu)
             assert mine.lo == pytest.approx(ref.lo, abs=1e-4)
             assert mine.hi == pytest.approx(ref.hi, abs=1e-4)
+
+    def test_scale_free(self):
+        # rescaling the data by s moves the interval by s, to 1e-9 of its width
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            lo, width, w = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.5, n), rng.uniform(0.2, 1.0, n)
+            t = float(rng.uniform())
+
+            def interval(s):
+                inst = DiscreteInstance.from_rows(list(zip(s * lo, s * (lo + width), w)))
+                img = power_image_interval(inst, 2.0)
+                return moment_restricted_mean_interval(
+                    inst, MomentRestriction(2.0, img.lo + t * img.width)
+                )
+
+            unit = interval(1.0)
+            gate = 1e-9 * max(unit.width, 1e-6)
+            for s in (1e-6, 1e-3, 1e3, 1e6):
+                iv = interval(s)
+                assert iv.lo / s == pytest.approx(unit.lo, abs=gate)
+                assert iv.hi / s == pytest.approx(unit.hi, abs=gate)
 
     def test_inner_envelope_vs_dense_grid(self):
         # per-scenario sup of x + lam x^r against a dense value grid

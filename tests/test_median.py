@@ -236,6 +236,17 @@ class TestMarginalCostTerms:
         with pytest.raises(MOutsideMedianSpan):
             marginal_cost_terms(two_state_instance(), 1.5)
 
+    def test_inside_span_tolerance_clips(self):
+        # m outside the median span [1, 4] by less than the span tolerance
+        inst = DiscreteInstance.from_rows([(0.0, 3.0), (1.0, 4.0), (2.0, 5.0)])
+        assert marginal_cost_terms(inst, 1.0 - 1e-12) == marginal_cost_terms(inst, 1.0)
+        assert marginal_cost_terms(inst, 4.0 + 1e-12) == marginal_cost_terms(inst, 4.0)
+        low, high = parse_law("uniform(0,2)"), parse_law("uniform(1,3)")   # medians 1 and 2
+        for edge, m in ((1.0 - 1e-12, 1.0), (2.0 + 1e-12, 2.0)):
+            assert marginal_cost_terms_parametric(low, high, edge) == (
+                marginal_cost_terms_parametric(low, high, m)
+            )
+
     def test_chi2_routes_agree(self):
         spec = ComonotoneSpec(parse_law("chi2(2)"), parse_law("chi2(5)"), 20001)
         inst = discretize(spec)

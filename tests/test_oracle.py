@@ -5,9 +5,14 @@ from selbounds import (
     DiscreteInstance,
     InfeasibleMedian,
     InstanceTooLarge,
+    InvalidPower,
     KappaInfeasible,
+    MomentRestriction,
+    NoFeasibleSelection,
     TargetSet,
     aumann_interval,
+    moment_restricted_mean_interval,
+    power_image_interval,
     unrestricted_prob_bounds,
     oracle,
 )
@@ -148,3 +153,60 @@ class TestMomentOracle:
         inst = DiscreteInstance.from_rows([(i, i + 1) for i in range(7)])
         with pytest.raises(InstanceTooLarge):
             oracle.exact_moment_mean_bounds(inst, 2.0, 10.0)
+
+    def test_invalid_powers(self):
+        with pytest.raises(InvalidPower):
+            oracle.exact_moment_mean_bounds(DiscreteInstance.from_rows([(-1.0, 1.0)]), 2.0, 0.5)
+        with pytest.raises(InvalidPower):
+            oracle.exact_moment_mean_bounds(
+                DiscreteInstance.from_rows([(1.0, 4.0), (2.0, 3.0)]), -1.0, 0.4
+            )
+
+    def test_moment_outside_range(self):
+        inst = DiscreteInstance.from_rows([(0.0, 1.0), (2.0, 3.0)])
+        with pytest.raises(NoFeasibleSelection):
+            oracle.exact_moment_mean_bounds(inst, 2.0, 5.0 + 1e-6)
+        iv = oracle.exact_moment_mean_bounds(inst, 2.0, 5.0 + 1e-12)
+        assert iv.as_tuple() == pytest.approx((2.0, 2.0), abs=1e-12)
+
+    def test_zero_width_instance(self):
+        inst = DiscreteInstance.from_rows([(0.5, 0.5, 1.0), (-2.0, -2.0, 3.0)])
+        iv = oracle.exact_moment_mean_bounds(inst, 3.0, 0.25 * 0.125 - 0.75 * 8.0)
+        assert iv.as_tuple() == pytest.approx((-1.375, -1.375), abs=1e-12)
+
+    def test_failing_mesh_shapes(self):
+        # n = 2-3, r = 2, lower ~ U(0,1), width ~ U(0,1), mu_r at 37% of the
+        # power image: a locally refined mesh overstated the lower endpoint
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            n = int(rng.integers(2, 4))
+            lo, width, w = rng.uniform(0, 1, n), rng.uniform(0, 1, n), rng.uniform(0.2, 1, n)
+            inst = DiscreteInstance.from_rows(list(zip(lo, lo + width, w / w.sum())))
+            img = power_image_interval(inst, 2.0)
+            mu = img.lo + 0.37 * img.width
+            dual = moment_restricted_mean_interval(inst, MomentRestriction(2.0, mu))
+            ref = oracle.exact_moment_mean_bounds(inst, 2.0, mu)
+            assert ref.lo == pytest.approx(dual.lo, abs=1e-6)
+            assert ref.hi == pytest.approx(dual.hi, abs=1e-6)
+
+    def test_inside_dual_on_randoms(self):
+        # odd r across 0, r < 1 touching 0, zero widths, mu_r at the image edges
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            r = float(rng.choice([0.25, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0]))
+            odd = r in (1.0, 3.0, 5.0)
+            lo = rng.uniform(-1.5, 1.5, n) if odd else rng.uniform(0.0, 1.5, n)
+            if r < 1.0:
+                lo[0] = 0.0
+            width = rng.uniform(0.0, 1.5, n) * (rng.random(n) > 0.2)
+            w = rng.uniform(0.2, 1.0, n)
+            inst = DiscreteInstance.from_rows(list(zip(lo, lo + width, w / w.sum())))
+            img = power_image_interval(inst, r)
+            mu = img.lo + float(rng.choice([0.0, 1.0, rng.uniform(), rng.uniform()])) * img.width
+            dual = moment_restricted_mean_interval(inst, MomentRestriction(r, mu))
+            ref = oracle.exact_moment_mean_bounds(inst, r, mu)
+            assert ref.lo >= dual.lo - 1e-9 * max(1.0, abs(dual.lo))
+            assert ref.hi <= dual.hi + 1e-9 * max(1.0, abs(dual.hi))
+            assert ref.lo == pytest.approx(dual.lo, abs=1e-6)
+            assert ref.hi == pytest.approx(dual.hi, abs=1e-6)
