@@ -91,6 +91,7 @@ from .extensions import (
     mean_restricted_quantile_range,
     mixture_convexity_check,
     moment_restricted_mean_interval,
+    moment_selection,
     power_image_interval,
     quantile_restricted_mean_interval,
     quantile_restriction_feasible,

@@ -56,15 +56,16 @@ from .median import (
 )
 from .events import (
     TargetSet,
-    calibrate_mean,
-    dual_envelope,
+    _dual,
+    _prob_bounds,
+    _unrestricted,
+    gap_profile,
     mean_restricted_prob_bounds,
-    unrestricted_prob_bounds,
 )
 from .extensions import (
     MomentRestriction,
     QuantileRestriction,
-    moment_restricted_mean_interval,
+    _moment_solve,
     power_image_interval,
     quantile_restricted_mean_interval,
 )
@@ -202,7 +203,7 @@ def run(request: AnalysisRequest) -> dict:
     ``attainability_alpha`` and the curve export to ``export_path``.
     """
     instance = request.build_instance()
-    report: dict = {"schema_version": 1}
+    report: dict = {"schema_version": 2}
     report["request"] = {
         "source": (
             request.csv_path
@@ -218,10 +219,10 @@ def run(request: AnalysisRequest) -> dict:
         "mean": _interval(aumann_interval(instance), "closed-form"),
         "median": _interval(median_range, "closed-form"),
     }
-    if request.target is not None:
-        benchmark["probability"] = _interval(
-            unrestricted_prob_bounds(instance, request.target), "closed-form"
-        )
+    # one gap profile serves the probability benchmark and the mean pin
+    prof = gap_profile(instance, request.target) if request.target is not None else None
+    if prof is not None:
+        benchmark["probability"] = _interval(_unrestricted(instance, prof), "closed-form")
     if request.attainability_alpha:
         benchmark["quantile_attainability"] = _interval(
             quantile_attainability_range(instance, request.attainability_alpha), "closed-form"
@@ -231,7 +232,7 @@ def run(request: AnalysisRequest) -> dict:
     report["feasibility"] = {"status": "ok", "diagnosis": None}
     restricted: dict = {}
     try:
-        _run_restriction(request, instance, median_range, restricted)
+        _run_restriction(request, instance, median_range, prof, restricted)
     except InfeasibleRestriction as exc:
         report["feasibility"] = {"status": "infeasible", "diagnosis": str(exc)}
     report["restricted"] = restricted or None
@@ -250,7 +251,7 @@ def run(request: AnalysisRequest) -> dict:
     return report
 
 
-def _run_restriction(request, instance, median_range, restricted) -> None:
+def _run_restriction(request, instance, median_range, prof, restricted) -> None:
     kind = request.restriction[0] if request.restriction else None
     if kind == "median":
         m = request.restriction[1]
@@ -278,11 +279,10 @@ def _run_restriction(request, instance, median_range, restricted) -> None:
             }
     elif kind == "mean":
         kappa = request.restriction[1]
-        if request.target is None:
+        if prof is None:
             raise InputError("mean restriction reporting needs --target")
-        iv = mean_restricted_prob_bounds(instance, request.target, kappa)
-        cal = calibrate_mean(instance, request.target, kappa)
-        env = dual_envelope(instance, request.target, kappa)
+        iv, cal = _prob_bounds(instance, prof, kappa)
+        env = _dual(instance, prof, kappa)
         restricted["probability"] = _interval(iv, "closed-form")
         restricted["probability_dual"] = {
             "lo": env.lower,
@@ -291,11 +291,14 @@ def _run_restriction(request, instance, median_range, restricted) -> None:
         }
         restricted["lambda_star"] = cal.lambda_star
         restricted["selection_mean"] = cal.selection.mean()
+        # certificates: dual objective at the dual's multiplier minus the primal value
+        restricted["duality_gap"] = {"lower": env.lower - iv.lo, "upper": env.upper - iv.hi}
     elif kind == "moment":
         r, mu = request.restriction[1], request.restriction[2]
         restricted["moment_image"] = _interval(power_image_interval(instance, r), "closed-form")
-        iv = moment_restricted_mean_interval(instance, MomentRestriction(r, mu))
+        iv, (low, high) = _moment_solve(instance, MomentRestriction(r, mu))
         restricted["moment_mean"] = _interval(iv, "dual")
+        restricted["duality_gap"] = {"lower": low[0] - low[1], "upper": high[0] - high[1]}
     elif kind == "quantile":
         alpha, q = request.restriction[1], request.restriction[2]
         rng = quantile_attainability_range(instance, alpha)

@@ -15,7 +15,10 @@ mass at its in-target point and the rest at the endpoint, built by
 :meth:`Selection.from_cells`.
 
 The same values admit a dual description as envelopes over a scalar
-multiplier; :func:`dual_envelope` evaluates it as an independent check.
+multiplier.  Each envelope is piecewise linear in the multiplier, so
+:func:`dual_envelope` finds its optimum exactly at a sorted kink, the LP
+dual of a continuous knapsack, without touching the greedy fill; dual =
+primal to rounding is therefore an independent two-sided check.
 """
 
 from __future__ import annotations
@@ -138,10 +141,23 @@ def gap_profile(instance: DiscreteInstance, target: TargetSet) -> GapProfile:
 
 def unrestricted_prob_bounds(instance: DiscreteInstance, target: TargetSet) -> ClosedInterval:
     """[P(Y contained in A), P(Y hits A)]: the no-information bounds."""
-    prof = gap_profile(instance, target)
-    lo = float(instance.weight[prof.contain].sum())
-    hi = float(instance.weight[prof.hit].sum())
-    return ClosedInterval(lo, hi)
+    return _unrestricted(instance, gap_profile(instance, target))
+
+
+def _unrestricted(instance: DiscreteInstance, prof: GapProfile) -> ClosedInterval:
+    w = instance.weight
+    return ClosedInterval(float(w[prof.contain].sum()), float(w[prof.hit].sum()))
+
+
+def _clip_kappa(instance: DiscreteInstance, kappa: float) -> float:
+    """kappa clipped into the mean range; KappaInfeasible beyond tolerance."""
+    box = aumann_interval(instance)
+    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
+        raise KappaInfeasible(
+            f"kappa={kappa} outside the mean range [{box.lo}, {box.hi}] "
+            f"by {max(box.lo - kappa, kappa - box.hi):.3g}"
+        )
+    return box.clip(kappa)
 
 
 def threshold_selection(
@@ -221,14 +237,11 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
     lambda_star is +-1 / gap of that scenario, 0 when slack, and +-inf at
     the mean extremes, where nothing moves and selections are endpoints.
     """
-    box = aumann_interval(instance)
-    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
-        raise KappaInfeasible(
-            f"kappa={kappa} outside the mean range [{box.lo}, {box.hi}] "
-            f"by {max(box.lo - kappa, kappa - box.hi):.3g}"
-        )
-    kappa = box.clip(kappa)
-    prof = gap_profile(instance, target)
+    return _calibrate(instance, gap_profile(instance, target), _clip_kappa(instance, kappa))
+
+
+def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> Calibration:
+    """:func:`calibrate_mean` on a built profile and a clipped kappa."""
     w = instance.weight
     hit = prof.hit
 
@@ -266,7 +279,7 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
     return Calibration(sign * lam, sel, float(engaged.sum()))
 
 
-def _min_probability(instance: DiscreteInstance, target: TargetSet, kappa: float) -> float:
+def _min_probability(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> float:
     """inf P(y in A) subject to the mean pin (value only).
 
     Scenarios flee the target through the nearest complement point.  When
@@ -275,12 +288,8 @@ def _min_probability(instance: DiscreteInstance, target: TargetSet, kappa: float
     costs runs through the gaps in descending order and the boundary
     scenario re-enters fractionally.  The infimum may be unattained
     (complement extremes are closure points); the value is still exact.
+    Takes a built profile and a clipped kappa.
     """
-    box = aumann_interval(instance)
-    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
-        raise KappaInfeasible(f"kappa={kappa} outside [{box.lo}, {box.hi}]")
-    kappa = box.clip(kappa)
-    prof = gap_profile(instance, target)
     w = instance.weight
     partial = prof.hit & ~prof.contain
 
@@ -310,10 +319,15 @@ def mean_restricted_prob_bounds(
     instance: DiscreteInstance, target: TargetSet, kappa: float
 ) -> ClosedInterval:
     """[L(kappa), U(kappa)]: probability range under the mean pin."""
-    upper = calibrate_mean(instance, target, kappa).probability
-    lower = _min_probability(instance, target, kappa)
-    lower = min(lower, upper)  # guard float noise on degenerate instances
-    return ClosedInterval(lower, upper)
+    return _prob_bounds(instance, gap_profile(instance, target), kappa)[0]
+
+
+def _prob_bounds(instance: DiscreteInstance, prof: GapProfile, kappa: float):
+    """[L(kappa), U(kappa)] and the calibration attaining U, from one profile."""
+    kappa = _clip_kappa(instance, kappa)
+    cal = _calibrate(instance, prof, kappa)
+    lower = min(_min_probability(instance, prof, kappa), cal.probability)  # float noise guard
+    return ClosedInterval(lower, cal.probability), cal
 
 
 # ---------------------------------------------------------------------------
@@ -353,78 +367,77 @@ def _phi_mean(instance: DiscreteInstance, prof: GapProfile, lam: float) -> float
     return float(np.dot(instance.weight, val))
 
 
-def _refine_scalar(f, lo: float, hi: float, iters: int = 200) -> float:
-    """Golden-section minimum of a convex scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd, f(0.5 * (a + b)))
+def _kink_argmin(w, left: float, right: float, neg_gaps, pos_gaps) -> float:
+    """Least point of a convex piecewise-linear function of lam.
 
-
-def _minimize_convex(f) -> float:
-    """Expanding-bracket + golden-section minimum over the real line.
-
-    Doubles an edge only while the value strictly improves, then widens the
-    final bracket one more doubling on each side: when f(2e) >= f(e) the
-    convex minimum can still sit between e and 2e.
+    Its slope is ``left`` just below 0 and ``right`` just above, and rises
+    by w * g at lam = -1/g for each g in ``neg_gaps`` and at lam = 1/g for
+    each g in ``pos_gaps``: the first kink, counted outward from 0, where
+    the slope reaches 0 (the last one when rounding keeps it below).
     """
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = f(lo), f(hi)
-    best = min(f_lo, f_hi, f(0.0))
-    for _ in range(60):
-        grew = False
-        if f(2.0 * lo) < f_lo - 1e-12 * max(1.0, abs(f_lo)):
-            lo *= 2.0
-            f_lo = f(lo)
-            grew = True
-        if f(2.0 * hi) < f_hi - 1e-12 * max(1.0, abs(f_hi)):
-            hi *= 2.0
-            f_hi = f(hi)
-            grew = True
-        best = min(best, f_lo, f_hi)
-        if not grew:
-            break
-    return min(best, _refine_scalar(f, 2.0 * lo, 2.0 * hi))
+    if left <= 0.0 <= right:
+        return 0.0
+    start, gaps, side = (-left, neg_gaps, -1.0) if left > 0.0 else (right, pos_gaps, 1.0)
+    keep = gaps > 0.0
+    if not keep.any():
+        return 0.0
+    g = gaps[keep]
+    order = np.argsort(-g, kind="stable")
+    slope = start + np.cumsum(w[keep][order] * g[order])
+    return side / float(g[order[min(int(np.searchsorted(slope, 0.0)), g.size - 1)]])
 
 
 @dataclass(frozen=True)
 class DualEnvelope:
+    """Dual values of both bounds and the multipliers that attain them."""
+
     upper: float
     lower: float
+    lambda_upper: float
+    lambda_lower: float
+
+
+def _dual(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> DualEnvelope:
+    """Both dual envelopes on a built profile.
+
+    Upper: psi_mean(lam) - lam*kappa is convex and piecewise linear; its
+    slope starts at E lower - kappa and steps up by delta_minus at
+    -1/delta_minus, by a_plus - a_minus at 0 (a miss by its width) and by
+    delta_plus at 1/delta_plus.  Lower: phi_mean(lam) - lam*kappa mirrors
+    it with the partial scenarios' gaps a_plus - out_high and out_low -
+    a_minus.  One sort each, and no call into the primal's greedy fill.
+    """
+    kappa = _clip_kappa(instance, kappa)
+    w, lo, hi, hit = instance.weight, instance.lower, instance.upper, prof.hit
+    part = hit & ~prof.contain
+    lam_u = _kink_argmin(
+        w[hit],
+        float(np.dot(w, np.where(hit, prof.a_minus, lo))) - kappa,
+        float(np.dot(w, np.where(hit, prof.a_plus, hi))) - kappa,
+        prof.delta_minus[hit],
+        prof.delta_plus[hit],
+    )
+    lam_l = _kink_argmin(
+        w[part],
+        kappa - float(np.dot(w, np.where(part, prof.out_high, hi))),
+        kappa - float(np.dot(w, np.where(part, prof.out_low, lo))),
+        np.maximum(prof.a_plus[part] - prof.out_high[part], 0.0),
+        np.maximum(prof.out_low[part] - prof.a_minus[part], 0.0),
+    )
+    return DualEnvelope(
+        _psi_mean(instance, prof, lam_u) - lam_u * kappa,
+        _phi_mean(instance, prof, lam_l) - lam_l * kappa,
+        lam_u,
+        lam_l,
+    )
 
 
 def dual_envelope(instance: DiscreteInstance, target: TargetSet, kappa: float) -> DualEnvelope:
     """Envelope values inf/sup over the multiplier of the dual objective.
 
-    Each side is a convex scalar search: an expanding bracket followed by
-    golden-section refinement.  Matches the primal bounds to about 1e-6 on
-    step instances.
+    Each multiplier is found exactly from the sorted kinks of the dual
+    objective (the LP dual of a continuous knapsack), and the value is the
+    objective there, so it equals the primal bounds to rounding at any
+    scale of the data.
     """
-    box = aumann_interval(instance)
-    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
-        raise KappaInfeasible(f"kappa={kappa} outside [{box.lo}, {box.hi}]")
-    kappa = box.clip(kappa)
-    prof = gap_profile(instance, target)
-
-    def upper_obj(lam):
-        return _psi_mean(instance, prof, lam) - lam * kappa
-
-    def lower_obj_neg(lam):
-        return -(_phi_mean(instance, prof, lam) - lam * kappa)
-
-    return DualEnvelope(
-        upper=_minimize_convex(upper_obj), lower=-_minimize_convex(lower_obj_neg)
-    )
+    return _dual(instance, gap_profile(instance, target), kappa)

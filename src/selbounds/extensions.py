@@ -2,8 +2,11 @@
 
 Moment restrictions are handled through a scalar dual: for each multiplier
 the per-scenario problem max/min of x + lam*x^r over the interval is solved
-in closed form (endpoints plus interior stationary points), and the outer
-envelope over the multiplier is a one-dimensional convex search.
+in closed form (endpoints plus interior stationary points).  Each
+scenario's optimizer switches only at closed-form multipliers, so the
+optimal multiplier is found exactly by bisecting the sorted switch points
+and solving the last segment in closed form; the optimizers there form a
+selection that attains the endpoint.
 
 Fixed-quantile restrictions at level alpha reuse the pivot machinery from
 the median case with mass levels (alpha, 1-alpha): the upper endpoint caps
@@ -18,6 +21,8 @@ quantile constraint pins P(y < q) strictly below alpha.
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +36,8 @@ from .errors import (
     RestrictionViolated,
 )
 from .model import ClosedInterval, DiscreteInstance
-from .benchmarks import Selection, aumann_interval, quantile_attainability_range
+from .benchmarks import Selection, aumann_interval, mean_selection, quantile_attainability_range
 from .median import partition, pivot_mean_interval
-from .events import _minimize_convex
 
 _ATOL = 1e-12
 
@@ -126,18 +130,92 @@ def _scenario_envelope(lower, upper, r: float, lam: float, maximize: bool):
     return vals
 
 
-def moment_restricted_mean_interval(
-    instance: DiscreteInstance, restriction: MomentRestriction
-) -> ClosedInterval:
-    """Mean range over selections with E[y^r] = mu_r, by scalar duality.
+def _stationary(lam: float, r: float) -> float:
+    """t >= 0 with r t^(r-1) = -1/lam, for lam in [-inf, 0]."""
+    if lam in (0.0, -math.inf):
+        return math.inf if (lam == 0.0) == (r > 1.0) else 0.0
+    return (-1.0 / (lam * r)) ** (1.0 / (r - 1.0))
 
-    Upper endpoint: inf over the multiplier of E[sup_x(x + lam x^r)] - lam mu_r;
-    lower endpoint mirrors with inf_x and sup over the multiplier.  Both
-    envelopes are convex (resp. concave) in the multiplier, so an
-    expanding-bracket golden-section search is exact up to refinement
-    tolerance; results are clipped into the unrestricted mean interval.
-    The search runs on the data divided by s = max |endpoint| (mu_r by
-    s^r), so its tolerances do not depend on the units.
+
+def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
+    """lam* <= 0 and the optimizers of x + lam* x^r, on data scaled into [-1, 1].
+
+    A scenario's optimizer switches only where the stationary point t meets
+    |lower| or |upper|, where the endpoints tie (lam = -(upper - lower) /
+    (upper^r - lower^r)) or, for odd r, where an endpoint ties the
+    stationary point across 0 (t = z |endpoint|, z the root in (0,1) of
+    (r-1) z^r + r z^(r-1) = 1).  Between these sorted breakpoints every
+    optimizer is an endpoint or sign*t, so E[x*^r] = C + sign W t^r there,
+    monotone in lam across segments.  A bisection finds the segment where it
+    meets mu, solved in closed form; at a jump, the two optimizers mix with
+    one fraction.  Returns lam*, the values, their fraction and the rest.
+    """
+    odd = _is_odd_integer(r)
+    sign, d = (-1.0 if odd and not maximize else 1.0), (1.0 if maximize else -1.0)
+    lo_r, hi_r = _power(lo, r), _power(hi, r)
+    t = np.abs(np.concatenate([lo, hi]))
+    if odd:
+        z = np.roots([r - 1.0, r] + [0.0] * (int(r) - 2) + [-1.0])
+        t = np.concatenate([t, t * z.real[(abs(z.imag) < 1e-9) & (z.real > 0.0)][0]])
+    t = -1.0 / (r * t[t > 0.0] ** (r - 1.0))
+    wide = hi > lo
+    cuts = np.concatenate([t, (lo - hi)[wide] / (hi_r - lo_r)[wide]])
+    del t   # at most a few n-length arrays alive at once
+    cuts = cuts[np.isfinite(cuts) & (cuts < 0.0)]
+    cuts.sort()
+    last = cuts.size   # segment j runs from end(j - 1) to end(j)
+    end = lambda i: -math.inf if i < 0 else (0.0 if i == last else float(cuts[i]))
+
+    def regime(lam):
+        """Masks of the scenarios whose optimizer at lam is the upper endpoint / sign*t."""
+        x = sign * _stationary(lam, r)
+        f_lo, f_hi = lo + lam * lo_r, hi + lam * hi_r
+        up = d * f_hi > d * f_lo
+        mid = (lo < x) & (x < hi) & (d * (x + lam * _power(x, r)) > d * np.where(up, f_hi, f_lo))
+        return up & ~mid, mid
+
+    @functools.cache
+    def segment(j):
+        """A multiplier inside segment j, and C, W there."""
+        lam = 2.0 * end(0) - 1.0 if j == 0 else 0.5 * (end(j - 1) + end(j))
+        up, mid = regime(lam)
+        return lam, float(np.dot(w, np.where(mid, 0.0, np.where(up, hi_r, lo_r)))), float(w[mid].sum())
+
+    def moment(j, lam):
+        _, c, big_w = segment(j)
+        return c + sign * big_w * _stationary(lam, r) ** r if big_w > 0.0 else c
+
+    def values(j, t):
+        up, mid = regime(segment(j)[0])
+        return np.where(mid, sign * t, np.where(up, hi, lo))
+
+    reaches = lambda k: d * moment(k, end(k)) >= d * mu   # at the segment's right end
+    j = min(bisect.bisect_left(range(last + 1), True, key=reaches), last)
+    if j > 0 and d * moment(j, end(j - 1)) >= d * mu:   # mu inside the jump at end(j - 1)
+        lam = end(j - 1)
+        t = _stationary(lam, r)
+        m_prev, m_cur = moment(j - 1, lam), moment(j, lam)
+        return lam, values(j, t), min(max((mu - m_prev) / (m_cur - m_prev), 0.0), 1.0), values(j - 1, t)
+    lam, c, big_w = segment(j)
+    t = _stationary(lam, r)
+    if big_w > 0.0:
+        t_a, t_b = sorted((_stationary(end(j - 1), r), _stationary(end(j), r)))
+        t = min(max(max(sign * (mu - c) / big_w, 0.0) ** (1.0 / r), t_a), t_b)
+        lam = -1.0 / (r * t ** (r - 1.0)) if t > 0.0 else (-math.inf if r > 1.0 else 0.0)
+    x = values(j, t)
+    return lam, x, 1.0, x
+
+
+def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
+    """The moment-restricted mean interval and, for the min and the max
+    side, (dual, primal, x, theta, rest): the dual objective at lam*, and
+    the attaining selection, which puts the fraction theta of each weight
+    at x and the rest at rest, with its mean.
+
+    mu_r at an image edge pins every scenario to that endpoint (lam* is 0
+    on one side and -inf on the other).  Otherwise each side is solved on
+    the data divided by s = max |endpoint| (mu_r by s^r), so nothing
+    depends on the units.
     """
     r, mu = restriction.r, restriction.mu_r
     _check_power_validity(instance, r)
@@ -148,24 +226,63 @@ def moment_restricted_mean_interval(
             f"mu_r={mu} outside the attainable moment range [{image.lo}, {image.hi}]"
         )
     mu = image.clip(mu)
-    box = aumann_interval(instance)
+    w, lower, upper = instance.weight, instance.lower, instance.upper
     if r == 1.0:
-        return ClosedInterval(mu, mu)
+        x = mean_selection(instance, mu).value   # one row per scenario: weights are positive
+        sides = [(mu, mu, x, 1.0, x)] * 2         # the dual at lam = -1 is mu
+    elif mu in (image.lo, image.hi):
+        x = lower if mu == image.lo else upper
+        sides = [(float(np.dot(w, x)),) * 2 + (x, 1.0, x)] * 2
+    else:
+        s = float(max(np.abs(lower).max(), np.abs(upper).max()))
+        lo, hi, mu = lower / s, upper / s, mu / s**r
+        if not _is_odd_integer(r):   # clamp -1e-15 noise, as power_image_interval does
+            np.maximum(lo, 0.0, out=lo)
+            np.maximum(hi, 0.0, out=hi)
+        sides = []
+        for maximize in (False, True):
+            lam, x, theta, rest = _moment_optimum(w, lo, hi, r, mu, maximize)
+            x, rest = np.clip(s * x, lower, upper), np.clip(s * rest, lower, upper)
+            primal = theta * float(np.dot(w, x)) + (1.0 - theta) * float(np.dot(w, rest))
+            if math.isfinite(lam):
+                dual = s * (float(np.dot(w, _scenario_envelope(lo, hi, r, lam, maximize))) - lam * mu)
+            else:
+                dual = primal   # the limit of the dual objective as lam -> -inf
+            sides.append((dual, primal, x, theta, rest))
+    box = aumann_interval(instance)
+    duals = [side[0] for side in sides]
+    return ClosedInterval(box.clip(min(duals)), box.clip(max(duals))), sides
 
-    s = float(max(np.abs(instance.lower).max(), np.abs(instance.upper).max()))
-    if s == 0.0:
-        return ClosedInterval(0.0, 0.0)
-    w, lo, hi, mu = instance.weight, instance.lower / s, instance.upper / s, mu / s**r
 
-    def upper_obj(lam):
-        return float(np.dot(w, _scenario_envelope(lo, hi, r, lam, True))) - lam * mu
+def moment_restricted_mean_interval(
+    instance: DiscreteInstance, restriction: MomentRestriction
+) -> ClosedInterval:
+    """Mean range over selections with E[y^r] = mu_r, by scalar duality.
 
-    def lower_obj_neg(lam):
-        return -(float(np.dot(w, _scenario_envelope(lo, hi, r, lam, False))) - lam * mu)
+    Upper endpoint: inf over the multiplier of E[sup_x(x + lam x^r)] - lam mu_r;
+    lower endpoint mirrors with inf_x and sup over the multiplier.  The
+    multiplier is found exactly from the sorted breakpoints where a
+    scenario's optimizer can switch (see :func:`_moment_optimum`), and each
+    endpoint is the dual objective there, clipped into the unrestricted
+    mean interval.
+    """
+    return _moment_solve(instance, restriction)[0]
 
-    e_hi = s * _minimize_convex(upper_obj)
-    e_lo = -s * _minimize_convex(lower_obj_neg)
-    return ClosedInterval(box.clip(min(e_lo, e_hi)), box.clip(max(e_lo, e_hi)))
+
+def moment_selection(
+    instance: DiscreteInstance, restriction: MomentRestriction, side: str
+) -> Selection:
+    """Selection with E[y^r] = mu_r attaining the upper (``"max"``) or lower
+    (``"min"``) endpoint of :func:`moment_restricted_mean_interval`.
+
+    Every scenario sits at an endpoint or at the common stationary point of
+    x + lam* x^r; at a jump of the moment in the multiplier, one fraction of
+    each scenario's weight moves between the two optimizers there.
+    """
+    if side not in ("max", "min"):
+        raise InputError(f"side must be 'max' or 'min', got {side!r}")
+    _, _, x, theta, rest = _moment_solve(instance, restriction)[1][side == "max"]
+    return Selection.from_cells(instance.weight, [(x, instance.weight * theta)], rest)
 
 
 def quantile_restriction_feasible(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selbounds import EmptyFile, InvertedInterval, ParseError
+from selbounds import EmptyFile, InvertedInterval, ParseError, TargetSet
 from selbounds.cli import (
     AnalysisRequest,
     load_csv,
@@ -118,6 +118,39 @@ class TestRun:
         report = run(self.two_state_request(restriction=("median", -1.0)))
         assert len(calls) == 4
         assert "marginal_cost_terms" in report["restricted"]
+
+    def test_mean_report_builds_one_gap_profile_and_calibrates_once(self, monkeypatch):
+        # the probability benchmark, both bounds, the calibration and the
+        # dual all read one profile
+        import selbounds.cli
+        import selbounds.events as events
+
+        builds, calibrations = [], []
+        real_profile, real_calibrate = events.gap_profile, events._calibrate
+        counted = lambda *a: builds.append(1) or real_profile(*a)
+        for module in (selbounds.cli, events):
+            monkeypatch.setattr(module, "gap_profile", counted)
+        monkeypatch.setattr(events, "_calibrate", lambda *a: calibrations.append(1) or real_calibrate(*a))
+        target = TargetSet.from_pairs([[0.5, 1.5]])
+        report = run(self.two_state_request(restriction=("mean", 0.5), target=target))
+        assert (len(builds), len(calibrations)) == (1, 1)
+        assert report["restricted"]["probability"]["hi"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_duality_gap_certificates(self):
+        target = TargetSet.from_pairs([[0.5, 1.5]])
+        report = run(self.two_state_request(restriction=("mean", 0.5), target=target))
+        assert report["schema_version"] == 2
+        restricted = report["restricted"]
+        gap = restricted["duality_gap"]
+        assert gap == {
+            "lower": restricted["probability_dual"]["lo"] - restricted["probability"]["lo"],
+            "upper": restricted["probability_dual"]["hi"] - restricted["probability"]["hi"],
+        }
+        assert max(abs(gap["lower"]), abs(gap["upper"])) <= 1e-12
+        report = run(self.two_state_request(restriction=("moment", 3.0, 1.0)))
+        gap = report["restricted"]["duality_gap"]
+        assert set(gap) == {"lower", "upper"}
+        assert max(abs(gap["lower"]), abs(gap["upper"])) <= 1e-12
 
     def test_deterministic_bytes(self):
         a = report_to_json(run(self.two_state_request(restriction=("median", -1.0))))

@@ -318,3 +318,103 @@ class TestDualEnvelope:
             d2l = np.diff(ls, 2)
             assert np.all(d2u <= 1e-8)   # U concave
             assert np.all(d2l >= -1e-8)  # L convex
+
+    def test_one_objective_evaluation_per_side(self, monkeypatch):
+        # the multipliers come from the sorted kinks; the objective is
+        # evaluated once, at each multiplier
+        import selbounds.events as events
+
+        calls = []
+        for name in ("_psi_mean", "_phi_mean"):
+            real = getattr(events, name)
+            monkeypatch.setattr(events, name, lambda *a, f=real: calls.append(1) or f(*a))
+        inst = random_instance(np.random.default_rng(113), n=200)
+        box = aumann_interval(inst)
+        dual_envelope(inst, TargetSet.from_pairs([[-0.5, 0.5], [1.0, 1.5]]), box.lo + 0.3 * box.width)
+        assert len(calls) == 2
+
+    def test_upper_multiplier_is_calibration_lambda(self):
+        # the dual's kink search and the primal's greedy fill are separate
+        # code, yet they stop at the same boundary gap
+        rng = np.random.default_rng(117)
+        grid_target = TargetSet.from_pairs([[1.0, 2.0], [3.0, 3.5]])
+        compared = 0
+        for i in range(400):
+            if i % 2:
+                inst, target = random_instance(rng, max_n=8), random_target(rng)
+            else:
+                n = int(rng.integers(2, 9))
+                lower = 0.25 * rng.integers(0, 17, n)
+                upper = lower + 0.25 * rng.integers(0, 9, n)
+                w = rng.uniform(0.1, 1.0, n)
+                inst = DiscreteInstance(lower, upper, w / w.sum())
+                target = grid_target
+            box = aumann_interval(inst)
+            kappa = box.lo + float(rng.uniform()) * box.width
+            lam = calibrate_mean(inst, target, kappa).lambda_star
+            if math.isfinite(lam):
+                got = dual_envelope(inst, target, kappa).lambda_upper
+                assert got == pytest.approx(lam, rel=1e-9, abs=1e-12)
+                compared += 1
+        assert compared > 300
+
+
+class TestDualMetamorphic:
+    """The dual equals the primal within 1e-12 on transformed instances.
+
+    Each case is a random instance and target at four kappas (both ends of
+    the mean range and two inside); the transformed problem moves the
+    instance, the target and kappa together.
+    """
+
+    @staticmethod
+    def cases(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            inst = random_instance(rng, max_n=8)
+            target = random_target(rng)
+            box = aumann_interval(inst)
+            for frac in (0.0, rng.uniform(), rng.uniform(), 1.0):
+                yield inst, target, box.lo + frac * box.width
+
+    @staticmethod
+    def assert_dual_is_primal(inst, target, kappa):
+        primal = mean_restricted_prob_bounds(inst, target, kappa)
+        env = dual_envelope(inst, target, kappa)
+        assert abs(env.upper - primal.hi) <= 1e-12
+        assert abs(env.lower - primal.lo) <= 1e-12
+        return primal
+
+    def test_scaling(self):
+        for inst, target, kappa in self.cases(127):
+            for s in (1e-6, 1e-3, 1e3, 1e6, 1e8):
+                self.assert_dual_is_primal(
+                    DiscreteInstance(s * inst.lower, s * inst.upper, inst.weight),
+                    TargetSet.from_pairs([[s * a, s * b] for a, b in target.pieces]),
+                    s * kappa,
+                )
+
+    def test_translation(self):
+        # the objective at the multiplier cancels terms of size |lam * kappa|,
+        # so its rounding grows with the offset (about 2e-12 at offset 40)
+        for inst, target, kappa in self.cases(131):
+            for t in (-3.0, 2.5, 10.0):
+                self.assert_dual_is_primal(
+                    DiscreteInstance(inst.lower + t, inst.upper + t, inst.weight),
+                    TargetSet.from_pairs([[a + t, b + t] for a, b in target.pieces]),
+                    kappa + t,
+                )
+
+    def test_reflection(self):
+        for inst, target, kappa in self.cases(137):
+            mirror = DiscreteInstance(-inst.upper, -inst.lower, inst.weight)
+            got = self.assert_dual_is_primal(mirror, target.reflected(), -kappa)
+            want = mean_restricted_prob_bounds(inst, target, kappa)
+            assert got.as_tuple() == pytest.approx(want.as_tuple(), abs=1e-12)
+
+    def test_reordering(self):
+        rng = np.random.default_rng(139)
+        for inst, target, kappa in self.cases(139):
+            got = self.assert_dual_is_primal(inst.reordered(rng.permutation(inst.n)), target, kappa)
+            want = mean_restricted_prob_bounds(inst, target, kappa)
+            assert got.as_tuple() == pytest.approx(want.as_tuple(), abs=1e-12)

@@ -17,6 +17,7 @@ from selbounds import (
     median_restricted_mean_interval,
     mixture_convexity_check,
     moment_restricted_mean_interval,
+    moment_selection,
     power_image_interval,
     quantile_attainability_range,
     quantile_restricted_mean_interval,
@@ -24,7 +25,7 @@ from selbounds import (
     quantile_selection,
     oracle,
 )
-from selbounds.errors import InfeasibleMedian
+from selbounds.errors import InfeasibleMedian, InputError
 
 from helpers import constant_instance, random_instance, two_state_instance
 
@@ -148,6 +149,74 @@ class TestMomentRestrictedInterval:
             vals = xs + lam * np.sign(xs) * np.abs(xs) ** r
             assert got_max >= vals.max() - 1e-6
             assert got_min <= vals.min() + 1e-6
+
+
+class TestMomentSolver:
+    @staticmethod
+    def instance(rng, r, n):
+        """Odd r across 0, r < 1 touching 0, zero widths, 0.25-grid ties."""
+        odd = r in (3.0, 5.0)
+        lo = rng.uniform(-1.5, 1.5, n) if odd else rng.uniform(0.0, 1.5, n)
+        if r < 1.0:
+            lo[0] = 0.0
+        width = rng.uniform(0.0, 1.5, n) * (rng.random(n) > 0.2)
+        if rng.random() < 0.3:
+            lo, width = np.round(4 * lo) / 4, np.round(4 * width) / 4
+        w = rng.uniform(0.2, 1.0, n)
+        return DiscreteInstance(lo, lo + width, w / w.sum())
+
+    def test_attaining_selections(self):
+        # feasible, E y^r = mu_r and E y at the endpoint, each to 1e-12 relative
+        from selbounds.extensions import _power
+
+        rng = np.random.default_rng(43)
+        for _ in range(120):
+            r = float(rng.choice([0.5, 2.0, 2.5, 3.0, 5.0]))
+            inst = self.instance(rng, r, int(rng.choice([1, 2, 5, 8, 100, 1000, 10000])))
+            img = power_image_interval(inst, r)
+            # the edges exactly: a few ulps inside one, the mean moves by
+            # |lam*| (up to 1e7 here) per unit of moment, so no value there
+            # is defined to 1e-12
+            inner = [img.lo + rng.uniform() * img.width for _ in range(2)]
+            mu = float(rng.choice([img.lo, img.hi, *inner]))
+            restriction = MomentRestriction(r, mu)
+            iv = moment_restricted_mean_interval(inst, restriction)
+            moment_scale = max(abs(img.lo), abs(img.hi), 1e-300)
+            mean_scale = max(abs(inst.mean_lower()), abs(inst.mean_upper()), 1e-300)
+            for side, endpoint in (("max", iv.hi), ("min", iv.lo)):
+                sel = moment_selection(inst, restriction, side)
+                sel.validate(inst)
+                moment = float(np.dot(sel.subweight, _power(sel.value, r)))
+                assert abs(moment - mu) <= 1e-12 * moment_scale
+                assert abs(sel.mean() - endpoint) <= 1e-12 * mean_scale
+
+    def test_image_edges_collapse(self):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            r = float(rng.choice([0.5, 2.0, 2.5, 3.0, 5.0]))
+            inst = self.instance(rng, r, int(rng.integers(1, 9)))
+            img = power_image_interval(inst, r)
+            for mu, want in ((img.lo, inst.mean_lower()), (img.hi, inst.mean_upper())):
+                iv = moment_restricted_mean_interval(inst, MomentRestriction(r, mu))
+                gate = 1e-12 * max(abs(want), 1e-300)
+                assert abs(iv.lo - want) <= gate and abs(iv.hi - want) <= gate
+
+    def test_side_names(self):
+        with pytest.raises(InputError):
+            moment_selection(UNIT, MomentRestriction(2.0, 0.25), "upper")
+
+    def test_two_objective_evaluations(self, monkeypatch):
+        # the multipliers come from the sorted breakpoints; the dual
+        # objective is evaluated once per side, at its multiplier
+        import selbounds.extensions as ext
+
+        calls = []
+        real = ext._scenario_envelope
+        monkeypatch.setattr(ext, "_scenario_envelope", lambda *a: calls.append(1) or real(*a))
+        inst = self.instance(np.random.default_rng(53), 3.0, 500)
+        img = power_image_interval(inst, 3.0)
+        moment_restricted_mean_interval(inst, MomentRestriction(3.0, img.lo + 0.4 * img.width))
+        assert len(calls) == 2
 
 
 class TestQuantileFeasibility:
