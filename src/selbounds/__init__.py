@@ -3,7 +3,7 @@ a random interval, under scalar restrictions on its selections (fixed mean,
 median, moment, or quantile), with exhaustive oracles validating every
 closed form."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     AlphaOutOfRange,
@@ -28,7 +28,6 @@ from .errors import (
     NoFeasibleSelection,
     NonpositiveWeight,
     ParseError,
-    RestrictionViolated,
     SelBoundsError,
     SelectionMismatch,
 )
@@ -37,7 +36,6 @@ from .model import (
     ClosedInterval,
     ComonotoneSpec,
     DiscreteInstance,
-    Scenario,
     StepDistribution,
     discretize,
     marginal_law,
@@ -45,22 +43,18 @@ from .model import (
 )
 from .rearrange import (
     ConditionalLaw,
-    WeightedSubset,
     conditional_quantile_integral,
     least_x_set,
     quantile_area,
     sorted_partial_sum,
 )
 from .benchmarks import (
-    CapacityFunctionals,
     Selection,
-    SelectionStats,
     aumann_interval,
     mean_selection,
     median_benchmark,
     quantile_attainability_range,
     quantile_selection,
-    selection_stats,
 )
 from .median import (
     CostTerms,
@@ -82,14 +76,12 @@ from .events import (
     dual_envelope,
     gap_profile,
     mean_restricted_prob_bounds,
-    threshold_selection,
     unrestricted_prob_bounds,
 )
 from .extensions import (
     MomentRestriction,
     QuantileRestriction,
     mean_restricted_quantile_range,
-    mixture_convexity_check,
     moment_restricted_mean_interval,
     moment_selection,
     power_image_interval,

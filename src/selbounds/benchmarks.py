@@ -91,49 +91,20 @@ class Selection:
             raise SelectionMismatch("per-scenario subweights do not match weights")
 
 
-@dataclass(frozen=True)
-class SelectionStats:
-    mean: float
-    law: StepDistribution
-
-    def quantile(self, alpha: float) -> float:
-        return self.law.quantile(alpha)
-
-    def cdf(self, t):
-        return self.law.cdf(t)
-
-
-def selection_stats(instance: DiscreteInstance, selection: Selection) -> SelectionStats:
-    """Exact weighted statistics of a selection's step law."""
-    selection.validate(instance)
-    return SelectionStats(mean=selection.mean(), law=selection.law())
-
-
-@dataclass(frozen=True)
-class CapacityFunctionals:
-    """Hitting and containment laws of the random interval on half-lines.
-
-    ``hitting.cdf(t)`` is the probability the interval meets (-inf, t],
-    i.e. the law of the lower endpoint; ``containment.cdf(t)`` is the
-    probability it is contained there, i.e. the law of the upper endpoint.
-    """
-
-    hitting: StepDistribution
-    containment: StepDistribution
-
-    def __post_init__(self):
-        ts = np.union1d(self.hitting.values, self.containment.values)
-        if np.any(self.hitting.cdf(ts) < self.containment.cdf(ts) - _ATOL):
-            raise InputError("hitting CDF must dominate containment CDF")
-
-    @classmethod
-    def from_instance(cls, instance: DiscreteInstance) -> "CapacityFunctionals":
-        return cls(marginal_law(instance, "lower"), marginal_law(instance, "upper"))
-
-
 def aumann_interval(instance: DiscreteInstance) -> ClosedInterval:
     """Identified mean range with no restriction: [E lower, E upper]."""
     return ClosedInterval(instance.mean_lower(), instance.mean_upper())
+
+
+def _clip_kappa(instance: DiscreteInstance, kappa: float) -> float:
+    """kappa clipped into the mean range; KappaInfeasible beyond tolerance."""
+    box = aumann_interval(instance)
+    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
+        raise KappaInfeasible(
+            f"kappa={kappa} outside the mean range [{box.lo}, {box.hi}] "
+            f"by {max(box.lo - kappa, kappa - box.hi):.3g}"
+        )
+    return box.clip(kappa)
 
 
 def median_benchmark(instance: DiscreteInstance) -> ClosedInterval:
@@ -163,13 +134,7 @@ def mean_selection(instance: DiscreteInstance, kappa: float) -> Selection:
     width in expectation.
     """
     box = aumann_interval(instance)
-    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
-        raise KappaInfeasible(
-            f"kappa={kappa} outside the mean range [{box.lo}, {box.hi}]"
-        )
-    kappa = box.clip(kappa)
-    denom = box.width
-    t = 0.0 if denom <= 0.0 else (kappa - box.lo) / denom
+    t = 0.0 if box.width <= 0.0 else (_clip_kappa(instance, kappa) - box.lo) / box.width
     values = (1.0 - t) * instance.lower + t * instance.upper
     return Selection(np.arange(instance.n), values, instance.weight.copy())
 
@@ -179,26 +144,13 @@ def quantile_selection(instance: DiscreteInstance, alpha: float, m: float) -> Se
 
     Partition at m: scenarios entirely at or below take their upper
     endpoint, scenarios entirely above take their lower endpoint, and the
-    contact scenarios sit at m itself.  A sub-mass delta of the contact
-    set (first scenarios in instance order, one split if needed) is
-    bookkept as routed below m; the remainder is routed above.  Routing
-    does not change the law here, but it mirrors the mass accounting that
-    certifies P(y <= m) >= alpha while P(y <= t) < alpha for t < m.
+    contact scenarios sit at m itself, one row per scenario.  Then
+    P(y <= m) is the lower endpoint's CDF at m, at least alpha, while for
+    t < m P(y <= t) is at most the upper endpoint's CDF at t, below alpha,
+    because m lies between the two marginal alpha-quantiles.
     """
     rng = quantile_attainability_range(instance, alpha)
     if not rng.contains(m):
         raise MOutOfRange(f"m={m} outside attainability range [{rng.lo}, {rng.hi}]")
-
-    at_or_below = instance.upper <= m          # interval contained in (-inf, m]
-    above = instance.lower > m                 # interval misses (-inf, m]
-    contact = ~(at_or_below | above)
-
-    p_below = float(instance.weight[at_or_below].sum())
-    delta = max(alpha - p_below, 0.0)
-
-    # route the contact weight in instance order until delta is covered
-    w_contact = np.where(contact, instance.weight, 0.0)
-    remaining = delta - (np.cumsum(w_contact) - w_contact)
-    routed = np.where(remaining > _ATOL, np.minimum(w_contact, remaining), 0.0)
-    outer = np.where(at_or_below, instance.upper, instance.lower)
-    return Selection.from_cells(instance.weight, [(m, routed)], np.where(contact, m, outer))
+    value = np.where(instance.upper <= m, instance.upper, np.maximum(instance.lower, m))
+    return Selection(np.arange(instance.n), value, instance.weight.copy())

@@ -60,7 +60,6 @@ from .events import (
     _prob_bounds,
     _unrestricted,
     gap_profile,
-    mean_restricted_prob_bounds,
 )
 from .extensions import (
     MomentRestriction,
@@ -124,14 +123,6 @@ def parse_csv(text: str) -> DiscreteInstance:
     if not rows:
         raise EmptyFile("CSV contains a header but no data rows")
     return DiscreteInstance.from_rows(rows)
-
-
-def write_csv(instance: DiscreteInstance, path) -> None:
-    """Round-trip partner of :func:`load_csv` (17 significant digits)."""
-    out = ["lower,upper,weight"]
-    for l, u, w in zip(instance.lower, instance.upper, instance.weight):
-        out.append(f"{l:.17g},{u:.17g},{w:.17g}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def parse_target(text: str) -> TargetSet:
@@ -410,9 +401,10 @@ def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_pat
     elif kind == "mean" and request.target is not None:
         box = aumann_interval(instance)
         ks = np.linspace(box.lo, box.hi, BOUND_GRID)
+        prof = gap_profile(instance, request.target)   # one profile serves the curve
         rows = []
         for kk in ks:
-            iv = mean_restricted_prob_bounds(instance, request.target, float(kk))
+            iv = _prob_bounds(instance, prof, float(kk))[0]
             rows.append((kk, iv.lo, iv.hi))
         emit(
             "bounds",

@@ -108,10 +108,6 @@ class InfeasibleQuantile(InfeasibleRestriction):
     """Quantile target outside the attainability range."""
 
 
-class RestrictionViolated(InfeasibleRestriction):
-    """A supplied selection does not satisfy the claimed restriction."""
-
-
 class InstanceTooLarge(SelBoundsError):
     """Exhaustive oracle invoked beyond its instance-size limit."""
 

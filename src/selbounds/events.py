@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError, KappaInfeasible
 from .model import ClosedInterval, DiscreteInstance
-from .benchmarks import Selection, aumann_interval
+from .benchmarks import Selection, _clip_kappa
 from .rearrange import _greedy_fill
 
 _ATOL = 1e-12
@@ -147,50 +147,6 @@ def unrestricted_prob_bounds(instance: DiscreteInstance, target: TargetSet) -> C
 def _unrestricted(instance: DiscreteInstance, prof: GapProfile) -> ClosedInterval:
     w = instance.weight
     return ClosedInterval(float(w[prof.contain].sum()), float(w[prof.hit].sum()))
-
-
-def _clip_kappa(instance: DiscreteInstance, kappa: float) -> float:
-    """kappa clipped into the mean range; KappaInfeasible beyond tolerance."""
-    box = aumann_interval(instance)
-    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
-        raise KappaInfeasible(
-            f"kappa={kappa} outside the mean range [{box.lo}, {box.hi}] "
-            f"by {max(box.lo - kappa, kappa - box.hi):.3g}"
-        )
-    return box.clip(kappa)
-
-
-def threshold_selection(
-    instance: DiscreteInstance, target: TargetSet, lam: float, tie_in: float = 1.0
-) -> Selection:
-    """Pointwise maximizer of 1{x in A} + lam*x over each scenario.
-
-    For lam > 0 a hit scenario takes its upper endpoint when the gap
-    delta_plus exceeds 1/lam, and the in-target point a_plus when it is
-    smaller; ties split a fraction ``tie_in`` of the weight onto the
-    in-target choice.  Miss scenarios take the endpoint favoured by the
-    sign of lam.  lam = 0 returns the hit-maximizing selection (every hit
-    scenario inside A), the lam -> 0+ limit.
-    """
-    if not (0.0 <= tie_in <= 1.0):
-        raise InputError("tie_in must lie in [0,1]")
-    prof = gap_profile(instance, target)
-
-    if lam == 0.0:
-        value = np.where(prof.hit, prof.a_plus, instance.upper)
-        return Selection(np.arange(instance.n), value, instance.weight.copy())
-
-    if lam > 0.0:
-        cutoff = 1.0 / lam if np.isfinite(lam) else 0.0
-        gaps, inside, outside = prof.delta_plus, prof.a_plus, instance.upper
-    else:
-        cutoff = -1.0 / lam if np.isfinite(lam) else 0.0
-        gaps, inside, outside = prof.delta_minus, prof.a_minus, instance.lower
-
-    # miss scenarios have infinite gaps and never go in
-    w = instance.weight
-    go_in = w * np.where(gaps < cutoff, 1.0, tie_in * (gaps == cutoff))
-    return Selection.from_cells(w, [(inside, go_in)], outside)
 
 
 @dataclass(frozen=True)

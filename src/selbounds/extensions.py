@@ -33,10 +33,15 @@ from .errors import (
     InfeasibleQuantile,
     InputError,
     InvalidPower,
-    RestrictionViolated,
 )
 from .model import ClosedInterval, DiscreteInstance
-from .benchmarks import Selection, aumann_interval, mean_selection, quantile_attainability_range
+from .benchmarks import (
+    Selection,
+    _clip_kappa,
+    aumann_interval,
+    mean_selection,
+    quantile_attainability_range,
+)
 from .median import partition, pivot_mean_interval
 
 _ATOL = 1e-12
@@ -308,42 +313,6 @@ def quantile_restricted_mean_interval(
     )
 
 
-def _law_quantile_matches(selection: Selection, alpha: float, q: float) -> bool:
-    law = selection.law()
-    return abs(law.quantile(alpha) - q) <= _ATOL * max(1.0, abs(q))
-
-
-def mixture_convexity_check(
-    instance: DiscreteInstance,
-    restriction: QuantileRestriction,
-    y1: Selection,
-    y2: Selection,
-    theta: float,
-) -> Selection:
-    """Law-level mixture of two restricted selections.
-
-    Splits every scenario's weight theta / (1-theta) between the two input
-    selections; the mixture law is the convex combination of the input
-    laws, so the pinned quantile survives and the mean interpolates
-    linearly.  Raises :class:`RestrictionViolated` when either input fails
-    the quantile restriction.
-    """
-    if not (0.0 <= theta <= 1.0):
-        raise InputError(f"theta must lie in [0,1], got {theta}")
-    for name, sel in (("y1", y1), ("y2", y2)):
-        sel.validate(instance)
-        if not _law_quantile_matches(sel, restriction.alpha, restriction.q):
-            raise RestrictionViolated(
-                f"{name} does not satisfy the quantile restriction "
-                f"F^-1({restriction.alpha}) = {restriction.q}"
-            )
-    return Selection(
-        np.concatenate([y1.scenario, y2.scenario]),
-        np.concatenate([y1.value, y2.value]),
-        np.concatenate([y1.subweight * theta, y2.subweight * (1.0 - theta)]),
-    )
-
-
 def mean_restricted_quantile_range(
     instance: DiscreteInstance, alpha: float, kappa: float
 ) -> ClosedInterval:
@@ -359,10 +328,7 @@ def mean_restricted_quantile_range(
     partition at the midpoint.  Endpoints are closure values: one on an
     upward jump (a zero-width scenario) may be a supremum, not attained.
     """
-    box = aumann_interval(instance)
-    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
-        raise InfeasibleQuantile(f"kappa={kappa} outside [{box.lo}, {box.hi}]")
-    kappa = box.clip(kappa)
+    kappa = _clip_kappa(instance, kappa)
     rng = quantile_attainability_range(instance, alpha)
     cuts = np.unique(np.concatenate([instance.lower, instance.upper]))
     cuts = cuts[(cuts > rng.lo) & (cuts < rng.hi)]

@@ -28,15 +28,14 @@ _ATOL = 1e-12
 class MedianPartition:
     """Partition of an instance at pivot m, with the mass shortfalls.
 
-    a_minus / a_plus / contact hold scenario indices for {upper < m},
-    {lower > m} and the contact set {lower <= m <= upper}; the shortfalls
-    are the extra masses the contact set must supply at or below m
-    (alpha_minus) and at or above m (alpha_plus) for m to be a median.
+    contact holds the scenario indices of {lower <= m <= upper}, and
+    p_minus / p_plus the masses of {upper < m} and {lower > m}; the
+    shortfalls are the extra masses the contact set must supply at or
+    below m (alpha_minus) and at or above m (alpha_plus) for m to be a
+    median.
     """
 
     m: float
-    a_minus: np.ndarray
-    a_plus: np.ndarray
     contact: np.ndarray
     p_minus: float
     p_plus: float
@@ -59,8 +58,6 @@ def partition(instance: DiscreteInstance, m: float) -> MedianPartition:
     ci = np.flatnonzero(contact)
     return MedianPartition(
         m=m,
-        a_minus=np.flatnonzero(below),
-        a_plus=np.flatnonzero(above),
         contact=ci,
         p_minus=p_minus,
         p_plus=p_plus,

@@ -71,21 +71,6 @@ class ClosedInterval:
         return (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One weighted state: the random interval takes the value [lower, upper]."""
-
-    lower: float
-    upper: float
-    weight: float
-
-    def __post_init__(self):
-        if self.weight <= 0.0 or not np.isfinite(self.weight):
-            raise NonpositiveWeight(f"scenario weight must be positive, got {self.weight}")
-        if self.lower > self.upper + INVERSION_ATOL:
-            raise InvertedInterval(f"scenario has lower={self.lower} > upper={self.upper}")
-
-
 class DiscreteInstance:
     """Finite weighted list of interval scenarios.
 
@@ -146,16 +131,6 @@ class DiscreteInstance:
     @property
     def total_mass(self) -> float:
         return float(self.weight.sum())
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.total_mass - 1.0) <= MASS_ATOL
-
-    def scenarios(self) -> tuple[Scenario, ...]:
-        return tuple(
-            Scenario(float(l), float(u), float(w))
-            for l, u, w in zip(self.lower, self.upper, self.weight)
-        )
 
     def mean_lower(self) -> float:
         return float(np.dot(self.weight, self.lower))
@@ -241,13 +216,6 @@ class StepDistribution:
     def cdf(self, t):
         """P(Z <= t); right-continuous step function, vectorized."""
         idx = np.searchsorted(self.values, np.asarray(t, dtype=float), side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        out = cum[idx]
-        return float(out) if np.ndim(t) == 0 else out
-
-    def cdf_strict(self, t):
-        """P(Z < t); the left limit of the CDF."""
-        idx = np.searchsorted(self.values, np.asarray(t, dtype=float), side="left")
         cum = np.concatenate(([0.0], self._cum))
         out = cum[idx]
         return float(out) if np.ndim(t) == 0 else out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BetaOutOfRange, InputError, MassOutOfRange, NegativeSupport
-from .model import DiscreteInstance, StepDistribution
+from .model import StepDistribution
 
 _ATOL = 1e-12
 
@@ -63,12 +63,6 @@ class ConditionalLaw:
         self.member_weights = member_weights
         self.values = values
         self.p0 = float(member_weights.sum())
-
-    @classmethod
-    def from_instance(cls, instance: DiscreteInstance, member_mask, values) -> "ConditionalLaw":
-        member_mask = np.asarray(member_mask, dtype=bool)
-        idx = np.flatnonzero(member_mask)
-        return cls(idx, instance.weight[idx], np.asarray(values, dtype=float)[idx])
 
     def distribution(self) -> StepDistribution:
         """Conditional law of X given the member set (masses renormalized)."""

@@ -65,4 +65,5 @@ def brute_force_least_mass(values, weights, mass):
 
 def law_median_holds(law, m, tol=1e-12):
     """Direct check of both median inequalities on a step law."""
-    return law.cdf(m) >= 0.5 - tol and 1.0 - law.cdf_strict(m) >= 0.5 - tol
+    at_or_above = float(law.masses[law.values >= m].sum())
+    return law.cdf(m) >= 0.5 - tol and at_or_above >= 0.5 - tol

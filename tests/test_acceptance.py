@@ -30,7 +30,6 @@ from selbounds import (
     quantile_attainability_range,
     quantile_restricted_mean_interval,
     quantile_selection,
-    selection_stats,
     unrestricted_prob_bounds,
     oracle,
 )
@@ -84,9 +83,9 @@ def test_criterion_03_no_shrink_example():
         assert iv.lo - 1e-12 <= 0.0 <= iv.hi + 1e-12
         theta = 0.0 if iv.width <= 0.0 else (0.0 - iv.lo) / iv.width
         sel = mixed_selection(inst, float(m), float(np.clip(theta, 0.0, 1.0)))
-        stats = selection_stats(inst, sel)
-        assert stats.mean == pytest.approx(0.0, abs=1e-10)
-        assert law_median_holds(stats.law, float(m))
+        sel.validate(inst)
+        assert sel.mean() == pytest.approx(0.0, abs=1e-10)
+        assert law_median_holds(sel.law(), float(m))
     rng_q = mean_restricted_quantile_range(inst, 0.5, 0.0)
     assert rng_q.as_tuple() == (-2.0, 0.0)
     print("\nACCEPTANCE 3: PASS - 21 selections built, restricted range (-2.0, 0.0) exact")

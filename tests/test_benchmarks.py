@@ -3,7 +3,6 @@ import pytest
 
 from selbounds import (
     AlphaOutOfRange,
-    CapacityFunctionals,
     KappaInfeasible,
     MOutOfRange,
     Selection,
@@ -13,7 +12,7 @@ from selbounds import (
     median_benchmark,
     quantile_attainability_range,
     quantile_selection,
-    selection_stats,
+    marginal_law,
 )
 
 from helpers import constant_instance, random_instance, two_state_instance
@@ -58,9 +57,10 @@ class TestCapacityFunctionals:
         rng = np.random.default_rng(31)
         for _ in range(40):
             inst = random_instance(rng)
-            cf = CapacityFunctionals.from_instance(inst)
-            ts = np.union1d(cf.hitting.values, cf.containment.values)
-            assert np.all(cf.hitting.cdf(ts) >= cf.containment.cdf(ts) - 1e-12)
+            # hitting (-inf, t] is the lower endpoint's law, containment the upper's
+            hitting, containment = marginal_law(inst, "lower"), marginal_law(inst, "upper")
+            ts = np.union1d(hitting.values, containment.values)
+            assert np.all(hitting.cdf(ts) >= containment.cdf(ts) - 1e-12)
 
 
 class TestMeanSelection:
@@ -131,8 +131,8 @@ class TestQuantileSelection:
         law = sel.law()
         assert np.array_equal(law.values, [0.3])
         assert law.quantile(0.5) == 0.3
-        # the routing bookkeeping splits the weight half below, half above
-        assert np.allclose(np.sort(sel.subweight), [0.5, 0.5])
+        # one row per scenario: the contact scenario sits at m whole
+        assert sel.scenario.tolist() == [0] and sel.subweight.tolist() == [1.0]
 
     def test_two_state_low_target(self):
         sel = quantile_selection(two_state_instance(), 0.5, -1.0)
@@ -167,29 +167,31 @@ class TestSelectionStats:
     def test_lower_endpoint_selection(self):
         inst = two_state_instance()
         sel = Selection(np.arange(2), inst.lower.copy(), inst.weight.copy())
-        stats = selection_stats(inst, sel)
-        assert stats.mean == pytest.approx(inst.mean_lower(), abs=1e-15)
-        assert stats.law.values.tolist() == [-2.0, 0.0]
+        sel.validate(inst)
+        assert sel.mean() == pytest.approx(inst.mean_lower(), abs=1e-15)
+        assert sel.law().values.tolist() == [-2.0, 0.0]
 
     def test_mean_selection_contract(self):
         inst = two_state_instance()
-        stats = selection_stats(inst, mean_selection(inst, 0.3))
-        assert stats.mean == pytest.approx(0.3, abs=1e-12)
+        sel = mean_selection(inst, 0.3)
+        sel.validate(inst)
+        assert sel.mean() == pytest.approx(0.3, abs=1e-12)
 
     def test_quantile_selection_contract(self):
         inst = two_state_instance()
-        stats = selection_stats(inst, quantile_selection(inst, 0.5, -0.7))
-        assert stats.quantile(0.5) == -0.7
-        assert stats.cdf(-0.7) >= 0.5
+        sel = quantile_selection(inst, 0.5, -0.7)
+        sel.validate(inst)
+        assert sel.law().quantile(0.5) == -0.7
+        assert sel.law().cdf(-0.7) >= 0.5
 
     def test_mismatch_detection(self):
         inst = two_state_instance()
         bad_value = Selection(np.arange(2), np.array([5.0, 0.0]), inst.weight.copy())
         with pytest.raises(SelectionMismatch):
-            selection_stats(inst, bad_value)
+            bad_value.validate(inst)
         bad_weight = Selection(np.arange(2), inst.lower.copy(), np.array([0.5, 0.4]))
         with pytest.raises(SelectionMismatch):
-            selection_stats(inst, bad_weight)
+            bad_weight.validate(inst)
 
     def test_selection_mean_inside_aumann(self):
         rng = np.random.default_rng(47)

@@ -13,7 +13,6 @@ from selbounds.cli import (
     parse_csv,
     report_to_json,
     run,
-    write_csv,
 )
 
 
@@ -65,7 +64,9 @@ class TestLoadCsv:
         src.write_text("lower,upper,weight\n0.1,0.9,0.25\n-1,2,0.75\n")
         inst = load_csv(src)
         dst = tmp_path / "dst.csv"
-        write_csv(inst, dst)
+        # 17 significant digits carry every double exactly
+        rows = [f"{l:.17g},{u:.17g},{w:.17g}" for l, u, w in zip(inst.lower, inst.upper, inst.weight)]
+        dst.write_text("\n".join(["lower,upper,weight", *rows]) + "\n")
         back = load_csv(dst)
         assert np.array_equal(inst.lower, back.lower)
         assert np.array_equal(inst.upper, back.upper)
@@ -324,6 +325,23 @@ class TestCurveExport:
         ls = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(us, 2) <= 1e-8)   # U concave along the grid
         assert np.all(np.diff(ls, 2) >= -1e-8)  # L convex
+
+    def test_mean_pin_export_builds_one_gap_profile(self, tmp_path, monkeypatch):
+        import selbounds.cli as cli
+        import selbounds.events as events
+
+        calls = []
+        real = events.gap_profile
+        counted = lambda inst, target: calls.append(target) or real(inst, target)
+        for module in (cli, events):
+            monkeypatch.setattr(module, "gap_profile", counted)
+        request = AnalysisRequest(
+            csv_text="lower,upper,weight\n0,1,0.6\n0.2,0.9,0.4\n",
+            restriction=("mean", 0.5),
+            target=TargetSet.from_pairs([[0.8, 1.0]]),
+        )
+        cli.export_curves(request, request.build_instance(), tmp_path / "pin")
+        assert len(calls) == 1   # one profile serves all 201 points of the curve
 
     def test_chi2_export_discretizes_once(self, tmp_path, capsys, monkeypatch):
         import selbounds.cli as cli

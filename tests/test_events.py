@@ -12,7 +12,6 @@ from selbounds import (
     dual_envelope,
     gap_profile,
     mean_restricted_prob_bounds,
-    threshold_selection,
     unrestricted_prob_bounds,
     oracle,
 )
@@ -102,51 +101,6 @@ class TestUnrestrictedBounds:
                 vals = inst.lower + frac * (inst.upper - inst.lower)
                 p = float(inst.weight[[target.contains(v) for v in vals]].sum())
                 assert iv.lo - 1e-12 <= p <= iv.hi + 1e-12
-
-
-class TestThresholdSelection:
-    def test_large_lambda_gives_upper(self):
-        inst = two_state_instance()
-        target = TargetSet.from_pairs([[-0.5, 0.5]])
-        sel = threshold_selection(inst, target, 1e12)
-        assert np.allclose(np.sort(sel.value), np.sort(inst.upper))
-        sel_inf = threshold_selection(inst, target, math.inf)
-        assert np.allclose(np.sort(sel_inf.value), np.sort(inst.upper))
-
-    def test_large_negative_lambda_gives_lower(self):
-        inst = two_state_instance()
-        target = TargetSet.from_pairs([[-0.5, 0.5]])
-        sel = threshold_selection(inst, target, -1e12)
-        assert np.allclose(np.sort(sel.value), np.sort(inst.lower))
-
-    def test_tie_split(self):
-        # at lambda = -1.25 the Lagrangian values of entering at 0.8 and
-        # staying at 0 coincide: 1 + lambda*0.8 = 0 = lambda*0
-        sel = threshold_selection(UNIT, EDGE, -1.25, tie_in=0.625)
-        law = sel.law()
-        assert np.allclose(law.values, [0.0, 0.8])
-        assert np.allclose(law.masses, [0.375, 0.625])
-        assert sel.mean() == pytest.approx(0.5, abs=1e-12)
-
-    def test_mean_monotone_in_lambda(self):
-        rng = np.random.default_rng(73)
-        for _ in range(20):
-            inst = random_instance(rng)
-            target = random_target(rng)
-            lams = np.linspace(-8.0, 8.0, 33)
-            means = [threshold_selection(inst, target, float(l)).mean() for l in lams]
-            assert np.all(np.diff(means) >= -1e-10)
-
-    def test_lambda_zero_is_hit_maximizing(self):
-        rng = np.random.default_rng(79)
-        for _ in range(20):
-            inst = random_instance(rng)
-            target = random_target(rng)
-            sel = threshold_selection(inst, target, 0.0)
-            p = sum(
-                w for v, w in zip(sel.value, sel.subweight) if target.contains(float(v))
-            )
-            assert p == pytest.approx(unrestricted_prob_bounds(inst, target).hi, abs=1e-12)
 
 
 class TestCalibrateMean:

@@ -10,12 +10,10 @@ from selbounds import (
     InvalidPower,
     MomentRestriction,
     QuantileRestriction,
-    RestrictionViolated,
     Selection,
     aumann_interval,
     mean_restricted_quantile_range,
     median_restricted_mean_interval,
-    mixture_convexity_check,
     moment_restricted_mean_interval,
     moment_selection,
     power_image_interval,
@@ -279,6 +277,15 @@ class TestQuantileRestrictedInterval:
             quantile_restricted_mean_interval(UNIT, QuantileRestriction(0.5, 2.0))
 
 
+def _mixture(y1, y2, theta):
+    """Law-level mixture: every scenario's weight split theta / (1 - theta)."""
+    return Selection(
+        np.concatenate([y1.scenario, y2.scenario]),
+        np.concatenate([y1.value, y2.value]),
+        np.concatenate([y1.subweight * theta, y2.subweight * (1.0 - theta)]),
+    )
+
+
 class TestMixture:
     def _two_restricted(self, inst, alpha, q1_frac=0.3):
         band = quantile_attainability_range(inst, alpha)
@@ -291,9 +298,10 @@ class TestMixture:
     def test_theta_endpoints(self):
         inst = two_state_instance()
         q, y1, y2 = self._two_restricted(inst, 0.5)
-        r = QuantileRestriction(0.5, q)
-        mix0 = mixture_convexity_check(inst, r, y1, y2, 0.0)
-        mix1 = mixture_convexity_check(inst, r, y1, y2, 1.0)
+        mix0 = _mixture(y1, y2, 0.0)
+        mix1 = _mixture(y1, y2, 1.0)
+        for mix in (mix0, mix1):
+            mix.validate(inst)
         assert mix0.law().values.tolist() == y2.law().values.tolist()
         assert mix1.law().values.tolist() == y1.law().values.tolist()
 
@@ -309,17 +317,11 @@ class TestMixture:
             iv = quantile_restricted_mean_interval(inst, QuantileRestriction(alpha, q))
             y2 = quantile_selection(inst, alpha, q)
             theta = float(rng.uniform(0.0, 1.0))
-            mix = mixture_convexity_check(inst, QuantileRestriction(alpha, q), y1, y2, theta)
+            mix = _mixture(y1, y2, theta)
+            mix.validate(inst)
             assert mix.law().quantile(alpha) == q
             want = theta * y1.mean() + (1.0 - theta) * y2.mean()
             assert mix.mean() == pytest.approx(want, abs=1e-12)
-
-    def test_rejects_violating_input(self):
-        inst = two_state_instance()
-        q, y1, _ = self._two_restricted(inst, 0.5)
-        bad = Selection(np.arange(2), inst.upper.copy(), inst.weight.copy())
-        with pytest.raises(RestrictionViolated):
-            mixture_convexity_check(inst, QuantileRestriction(0.5, q), y1, bad, 0.5)
 
 
 class TestMeanRestrictedQuantileRange:

@@ -16,7 +16,6 @@ from selbounds import (
     mixed_selection,
     parse_law,
     partition,
-    selection_stats,
     oracle,
 )
 
@@ -216,9 +215,9 @@ class TestNoShrinkExample:
             from selbounds import Selection
 
             sel = Selection(np.array([0, 1]), values, inst.weight.copy())
-            stats = selection_stats(inst, sel)
-            assert stats.mean == pytest.approx(0.0, abs=1e-15)
-            assert law_median_holds(stats.law, m)
+            sel.validate(inst)
+            assert sel.mean() == pytest.approx(0.0, abs=1e-15)
+            assert law_median_holds(sel.law(), m)
 
 
 class TestMarginalCostTerms:

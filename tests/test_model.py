@@ -12,7 +12,6 @@ from selbounds import (
     EmptyInstance,
     InvertedInterval,
     NonpositiveWeight,
-    Scenario,
     StepDistribution,
     discretize,
     marginal_law,
@@ -54,9 +53,9 @@ class TestNormalize:
 
     def test_scenario_invariants(self):
         with pytest.raises(NonpositiveWeight):
-            Scenario(0.0, 1.0, -0.1)
+            DiscreteInstance([0.0], [1.0], [-0.1])
         with pytest.raises(InvertedInterval):
-            Scenario(2.0, 1.0, 0.5)
+            DiscreteInstance([2.0], [1.0], [0.5])
 
 
 class TestMarginalLaw:
@@ -135,7 +134,7 @@ class TestMedianSet:
         # direct check of both inequalities per atom picks exactly {1}
         dist = StepDistribution([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
         for m, member in ((0.0, False), (1.0, True), (2.0, False)):
-            holds = dist.cdf(m) >= 0.5 and 1.0 - dist.cdf_strict(m) >= 0.5
+            holds = dist.cdf(m) >= 0.5 and dist.masses[dist.values >= m].sum() >= 0.5
             assert holds == member
         assert dist.median_interval().as_tuple() == (1.0, 1.0)
 
