@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -40,11 +41,13 @@ from .errors import (
 )
 from .laws import parse_law
 from .model import (
+    INVERSION_ATOL,
     ClosedInterval,
     ComonotoneSpec,
     DiscreteInstance,
     discretize,
     marginal_law,
+    normalize,
 )
 from .benchmarks import aumann_interval, median_benchmark, quantile_attainability_range
 from .median import (
@@ -95,30 +98,74 @@ def load_csv(path) -> DiscreteInstance:
 
 def parse_csv(text: str) -> DiscreteInstance:
     """Scenarios from CSV text; blank and ``#`` lines are skipped, and
-    errors name the line as numbered in the text."""
-    header, rows = None, []
-    for lineno, ln in enumerate(text.splitlines(), start=1):
+    errors name the line as numbered in the text.
+
+    A file whose first line is the header and whose data lines hold only
+    numbers is read in one bulk numpy pass; every other file goes to the
+    line parser, which alone raises parse errors.
+    """
+    lines = text.splitlines()
+    instance = _parse_bulk(lines)
+    return instance if instance is not None else _parse_lines(lines)
+
+
+def _csv_columns(header: str) -> int | None:
+    """Column count of a ``lower,upper[,weight]`` header line, else None."""
+    names = [h.strip().lower() for h in header.split(",")]
+    if names[:2] != ["lower", "upper"] or len(names) > 3 or (
+        len(names) == 3 and names[2] != "weight"
+    ):
+        return None
+    return len(names)
+
+
+def _parse_bulk(lines: list[str]) -> DiscreteInstance | None:
+    """The instance from one ``np.loadtxt`` pass, or None where that pass
+    could read the lines differently from :func:`_parse_lines`.
+
+    Both split the text at the same line boundaries and strip the same
+    whitespace around cells, and numpy skips empty lines as the line parser
+    does.  Everything else the line parser accepts or rejects on its own
+    makes ``loadtxt`` raise, or is caught below: a comment or whitespace-only
+    line, a ragged row, a cell ``float`` reads and numpy does not (``1_0``),
+    a header not on the first line, no data line, an inverted row.
+    """
+    ncols = _csv_columns(lines[0]) if lines else None
+    if ncols is None or not any(itertools.islice(lines, 1, None)):
+        return None   # no data line: loadtxt would warn and return nothing
+    try:
+        cells = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    except ValueError:
+        return None
+    if cells.shape[1] != ncols or np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
+        return None
+    weight = cells[:, 2] if ncols == 3 else np.ones(cells.shape[0])
+    return normalize(DiscreteInstance(cells[:, 0], cells[:, 1], weight))
+
+
+def _parse_lines(lines: list[str]) -> DiscreteInstance:
+    """Scenarios line by line, naming the offending line in every error."""
+    ncols, rows = None, []
+    for lineno, ln in enumerate(lines, start=1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        if header is None:
-            header = [h.strip().lower() for h in ln.split(",")]
-            if header[:2] != ["lower", "upper"] or len(header) > 3 or (
-                len(header) == 3 and header[2] != "weight"
-            ):
+        if ncols is None:
+            ncols = _csv_columns(ln)
+            if ncols is None:
                 raise ParseError(f"expected header lower,upper[,weight], got {ln!r}", line=lineno)
             continue
         cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != len(header):
-            raise ParseError(f"row has {len(cells)} cells, expected {len(header)}", line=lineno)
+        if len(cells) != ncols:
+            raise ParseError(f"row has {len(cells)} cells, expected {ncols}", line=lineno)
         try:
             vals = [float(c) for c in cells]
         except ValueError as exc:
             raise ParseError(f"non-numeric cell in row: {ln!r}", line=lineno) from exc
-        if vals[0] > vals[1] + 1e-12:
+        if vals[0] > vals[1] + INVERSION_ATOL:
             raise InvertedInterval(f"line {lineno}: lower={vals[0]} > upper={vals[1]}")
         rows.append(vals)
-    if header is None:
+    if ncols is None:
         raise EmptyFile("no rows in CSV input")
     if not rows:
         raise EmptyFile("CSV contains a header but no data rows")
@@ -238,7 +285,7 @@ def run(request: AnalysisRequest) -> dict:
         "tolerances": TOLERANCES,
     }
     if request.export_path:
-        report["exported"] = export_curves(request, instance, request.export_path)
+        report["exported"] = export_curves(request, instance, request.export_path, prof=prof)
     return report
 
 
@@ -338,12 +385,15 @@ def report_to_json(report: dict) -> str:
 # curve export
 
 
-def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_path) -> list[str]:
+def export_curves(
+    request: AnalysisRequest, instance: DiscreteInstance, base_path, *, prof=None
+) -> list[str]:
     """Write tab-separated curve files plus a sidecar schema description.
 
     Always: marginal CDFs on a value grid.  With a median restriction:
     extremal selection CDFs and the mean-bound curves over a pivot grid.
-    With a mean restriction and target: probability bounds over a mean grid.
+    With a mean restriction and target: probability bounds over a mean grid,
+    from ``prof`` when the caller already built the request's gap profile.
     """
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -401,7 +451,8 @@ def export_curves(request: AnalysisRequest, instance: DiscreteInstance, base_pat
     elif kind == "mean" and request.target is not None:
         box = aumann_interval(instance)
         ks = np.linspace(box.lo, box.hi, BOUND_GRID)
-        prof = gap_profile(instance, request.target)   # one profile serves the curve
+        if prof is None:
+            prof = gap_profile(instance, request.target)   # one profile serves the curve
         rows = []
         for kk in ks:
             iv = _prob_bounds(instance, prof, float(kk))[0]

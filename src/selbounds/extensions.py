@@ -330,10 +330,11 @@ def mean_restricted_quantile_range(
     """
     kappa = _clip_kappa(instance, kappa)
     rng = quantile_attainability_range(instance, alpha)
-    cuts = np.unique(np.concatenate([instance.lower, instance.upper]))
-    cuts = cuts[(cuts > rng.lo) & (cuts < rng.hi)]
+    ends = np.unique(np.concatenate([instance.lower, instance.upper]))
+    cuts = ends[(ends > rng.lo) & (ends < rng.hi)]
     grid = np.concatenate([[rng.lo], cuts, [rng.hi]])
-    tol = _ATOL * max(1.0, abs(kappa))
+    # relative to the data's magnitude, so scaling the instance scales the range
+    tol = _ATOL * max(abs(kappa), abs(float(ends[0])), abs(float(ends[-1])))
 
     def at(q):
         return pivot_mean_interval(instance, float(q), alpha, 1.0 - alpha)

@@ -8,7 +8,7 @@ analytic ``mean``.
 The chi-square CDF is computed by composite Gauss-Legendre quadrature of
 the density after the substitution x = t^2, which removes the derivative
 singularity of odd degrees of freedom at the origin; the inverse is a
-bracketed bisection against that quadrature.
+safeguarded Newton iteration against that quadrature.
 """
 
 from __future__ import annotations
@@ -166,14 +166,18 @@ def _standard_normal_ppf(u):
 
 
 class ChiSquare(Law):
-    """Chi-square law, CDF by panel quadrature, inverse by bisection.
+    """Chi-square law, CDF by panel quadrature, inverse by safeguarded Newton.
 
     Panels cover t in [0, t_max] with x = t^2; the cumulative integral at
-    panel boundaries is cached once per instance.  The in-panel bisection
-    stops at 1e-12 in t, i.e. well below 1e-10 in x on the working range.
+    panel boundaries is cached once per instance.  The inverse starts from
+    linear interpolation inside the panel and takes Newton steps on the
+    in-panel integral, bisecting the panel bracket where a step leaves it;
+    ``cdf(ppf(u))`` returns u to rounding.
     """
 
     _PANELS = 2048
+    _BLOCK = 4096
+    _MAX_SWEEPS = 200   # the halving safeguard bounds the bracket; rounding ends far sooner
 
     def __init__(self, df: float):
         if not (df >= 1.0):
@@ -227,25 +231,57 @@ class ChiSquare(Law):
 
     def ppf(self, u):
         u = np.atleast_1d(_check_u(u))
-        j = np.searchsorted(self._cum, u, side="left")
-        j = np.clip(j, 1, self._PANELS)
-        lo = self._edges[j - 1].copy()
-        hi = self._edges[j].copy()
-        cum_lo = self._cum[j - 1]
-        base = lo.copy()
-        target = u - cum_lo
-        # Bracketed bisection on the cached panels; the bracket always
-        # contains the root because _cum is strictly increasing.
-        for _ in range(46):
-            mid = 0.5 * (lo + hi)
-            below = self._partial(base, mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < 1e-12:
-                break
-        t = 0.5 * (lo + hi)
-        out = t * t
-        return out if out.shape else float(out)
+        flat = u.ravel()
+        t = np.empty_like(flat)
+        # fixed-size blocks bound the (block, 8) quadrature temporaries
+        for start in range(0, flat.size, self._BLOCK):
+            stop = start + self._BLOCK
+            t[start:stop] = self._invert(flat[start:stop])
+        t *= t
+        return t.reshape(u.shape)
+
+    def _invert(self, u):
+        """t = sqrt(ppf(u)) by safeguarded Newton inside each point's panel.
+
+        The root of F(t) = _partial(edge, t) - (u - _cum[panel]) has
+        F' = _density_t.  Each sweep narrows the panel bracket with the sign
+        of F and takes the Newton step; where that step leaves the bracket
+        (inclusive: a converged step may land on an edge) or fails to halve
+        the previous one, it bisects instead.  A point is done when its
+        Newton step falls below 1e-10 of t, after which that last step
+        leaves it at rounding level, or when a sweep no longer moves it.
+        """
+        j = np.clip(np.searchsorted(self._cum, u, side="left"), 1, self._PANELS)
+        lo, hi = self._edges[j - 1], self._edges[j]
+        base = lo
+        target = u - self._cum[j - 1]
+        prev = hi - lo
+        out = np.empty_like(u)
+        idx = np.arange(u.size)
+        # an underflowed panel mass or density makes a start or step non-finite;
+        # the bracket test then sends that point to bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = lo + prev * (target / (self._cum[j] - self._cum[j - 1]))
+            for _ in range(self._MAX_SWEEPS):
+                f = self._partial(base, t) - target
+                lo = np.where(f <= 0.0, t, lo)
+                hi = np.where(f >= 0.0, t, hi)
+                step = f / self._density_t(t)
+                new = t - step
+                newton = (new >= lo) & (new <= hi) & (np.abs(step) <= 0.5 * prev)
+                new = np.where(newton, new, 0.5 * (lo + hi))
+                prev = np.abs(new - t)
+                done = (prev == 0.0) | (newton & (prev <= 1e-10 * t))
+                out[idx[done]] = new[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                idx, base, target, lo, hi, t, prev = (
+                    a[keep] for a in (idx, base, target, lo, hi, new, prev)
+                )
+            else:
+                out[idx] = t
+        return out
 
     def mean(self) -> float:
         return self.df

@@ -4,6 +4,8 @@ Each test prints a single `ACCEPTANCE n: PASS` line on success (visible
 with `pytest -s`); the pytest verdict line carries the same information.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ from helpers import (
 def test_criterion_01_chi_square_example(chi2_pipeline):
     report, elapsed = chi2_pipeline
     assert report["grid_size"] >= 200_000
-    assert report["median_lower"] == pytest.approx(1.386, abs=1e-3)
+    assert report["median_lower"] == pytest.approx(2 * math.log(2), abs=1e-14)
     assert report["median_upper"] == pytest.approx(4.351, abs=1e-3)
     assert report["m"] == pytest.approx(3.46, abs=1e-2)
     general = report["restricted_interval"]
@@ -55,7 +57,7 @@ def test_criterion_01_chi_square_example(chi2_pipeline):
         implied = report[route]["implied"]
         assert implied["lo"] == pytest.approx(general["lo"], abs=1e-3)
         assert implied["hi"] == pytest.approx(general["hi"], abs=1e-3)
-    assert elapsed < 10.0
+    assert elapsed < 2.0
     print(
         f"\nACCEPTANCE 1: PASS - medians ({report['median_lower']:.4f}, "
         f"{report['median_upper']:.4f}), m={report['m']:.3f}, "

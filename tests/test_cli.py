@@ -4,10 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbounds import EmptyFile, InvertedInterval, ParseError, TargetSet
 from selbounds.cli import (
     AnalysisRequest,
+    _parse_bulk,
+    _parse_lines,
     load_csv,
     main,
     parse_csv,
@@ -71,6 +75,105 @@ class TestLoadCsv:
         assert np.array_equal(inst.lower, back.lower)
         assert np.array_equal(inst.upper, back.upper)
         assert np.array_equal(inst.weight, back.weight)
+
+
+# Well-formed CSV text: a header, then rows of finite floats in one of
+# several spellings, with whitespace around cells and, on request, blank
+# lines and whole-line comments between rows.
+FORMATS = ("{!r}", "{:.17g}", "{:.3g}", "{:.6e}")
+SPACES = ("", " ", "\t", "  ")
+
+
+@st.composite
+def csv_texts(draw, comments=True):
+    ncols = draw(st.sampled_from([2, 3]))
+    header = ["lower", "upper", "weight"][:ncols]
+    if draw(st.booleans()):
+        header = [h.upper() if draw(st.booleans()) else h for h in header]
+    lines = [", ".join(header) if draw(st.booleans()) else ",".join(header)]
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    for _ in range(draw(st.integers(1, 12))):
+        lower = draw(finite)
+        row = [lower, lower + draw(st.floats(0.0, 1e3)), draw(st.floats(1e-3, 1e3))][:ncols]
+        # one spelling per row keeps the rounded lower <= upper
+        fmt = draw(st.sampled_from(FORMATS))
+        cells = [draw(st.sampled_from(SPACES)) + fmt.format(x) + draw(st.sampled_from(SPACES)) for x in row]
+        lines.append(",".join(cells))
+        if draw(st.booleans()):
+            lines.append("")
+        if comments and draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["# note", "  #x,1,2", "#"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def _outcome(parse, text):
+    """The arrays a parse returns, or the error class, line and message it raises."""
+    try:
+        inst = parse(text)
+    except (ParseError, InvertedInterval) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return tuple(a.tobytes() for a in (inst.lower, inst.upper, inst.weight))
+
+
+def _line_parse(text):
+    return _parse_lines(text.splitlines())
+
+
+class TestBulkParseParity:
+    """The bulk pass returns the line parser's bits, and leaves it every error."""
+
+    @given(csv_texts(comments=False))
+    @settings(max_examples=150, deadline=None)
+    def test_well_formed_files_take_the_bulk_path(self, text):
+        assert _parse_bulk(text.splitlines()) is not None
+        assert _outcome(parse_csv, text) == _outcome(_line_parse, text)
+
+    @given(csv_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_commented_files_read_identically(self, text):
+        assert _outcome(parse_csv, text) == _outcome(_line_parse, text)
+
+    @given(
+        csv_texts(comments=False),
+        st.sampled_from(["drop", "extra", "word", "hash", "inline_hash", "invert", "underscore", "blank_cell"]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_files_fail_as_the_line_parser_does(self, text, how, data):
+        lines = text.splitlines()
+        rows = [i for i, ln in enumerate(lines) if i > 0 and ln]
+        i = data.draw(st.sampled_from(rows))
+        cells = lines[i].split(",")
+        if how == "drop":
+            cells = cells[:-1]
+        elif how == "extra":
+            cells.append("1")
+        elif how == "word":
+            cells[-1] = "abc"
+        elif how == "hash":
+            cells[-1] += " # trailing note"
+        elif how == "inline_hash":
+            cells[0] = "1#2"
+        elif how == "invert":
+            cells[0], cells[1] = "5", "-5"
+        elif how == "underscore":
+            cells[0] = "1_0"   # float reads 10, numpy refuses: only the line parser takes it
+        else:
+            cells[1] = " "
+        lines[i] = ",".join(cells)
+        bad = "\n".join(lines) + "\n"
+        assert _parse_bulk(bad.splitlines()) is None
+        assert _outcome(parse_csv, bad) == _outcome(_line_parse, bad)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["lower,upper\n", "lower,upper,weight\n\n\n", "lower,upper\n   \n", "lower,upper", ""],
+    )
+    def test_header_only(self, text):
+        assert _parse_bulk(text.splitlines()) is None
+        with pytest.raises(EmptyFile):
+            parse_csv(text)
 
 
 class TestRun:
@@ -342,6 +445,25 @@ class TestCurveExport:
         )
         cli.export_curves(request, request.build_instance(), tmp_path / "pin")
         assert len(calls) == 1   # one profile serves all 201 points of the curve
+
+    def test_mean_pin_report_with_export_builds_one_gap_profile(self, tmp_path, monkeypatch):
+        import selbounds.cli as cli
+        import selbounds.events as events
+
+        calls = []
+        real = events.gap_profile
+        counted = lambda inst, target: calls.append(target) or real(inst, target)
+        for module in (cli, events):
+            monkeypatch.setattr(module, "gap_profile", counted)
+        request = AnalysisRequest(
+            csv_text="lower,upper,weight\n0,1,0.6\n0.2,0.9,0.4\n",
+            restriction=("mean", 0.5),
+            target=TargetSet.from_pairs([[0.8, 1.0]]),
+            export_path=str(tmp_path / "pin"),
+        )
+        report = cli.run(request)
+        assert len(calls) == 1   # the report's profile also serves the exported curve
+        assert any(f.endswith("pin_bounds.tsv") for f in report["exported"])
 
     def test_chi2_export_discretizes_once(self, tmp_path, capsys, monkeypatch):
         import selbounds.cli as cli

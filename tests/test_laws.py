@@ -25,6 +25,48 @@ def test_chi2_ppf_inverts_to_tolerance(df):
     assert np.max(np.abs(xs - stats.chi2.ppf(us, df))) < 1e-7
 
 
+GRID = (np.arange(200_001) + 0.5) / 200_001   # the worked example's midpoint grid
+
+
+def test_chi2_ppf_matches_closed_form_on_the_example_grid():
+    # chi2(2) is exponential(1/2): its quantile is -2 log(1 - u)
+    exact = -2.0 * np.log1p(-GRID)
+    assert np.max(np.abs(ChiSquare(2).ppf(GRID) - exact) / exact) <= 1e-10
+
+
+@pytest.mark.parametrize("df", [1, 2, 5, 7.5])
+def test_chi2_ppf_round_trips_to_rounding(df):
+    law = ChiSquare(df)
+    assert np.max(np.abs(law.cdf(law.ppf(GRID)) - GRID)) <= 1e-14
+
+
+@pytest.mark.parametrize("df", [1, 2, 5, 7.5])
+def test_chi2_ppf_newton_converges_in_few_sweeps(df, monkeypatch):
+    # Newton from the in-panel interpolation settles nearly every point in two
+    # sweeps and the last stragglers within six; a bracket test that rejects a
+    # step landing on an edge bisects for 40 and more
+    law = ChiSquare(df)
+    sweeps = []
+    real = law._partial
+    monkeypatch.setattr(law, "_partial", lambda t0, t1: sweeps.append(t0.size) or real(t0, t1))
+    law.ppf(GRID[::50])   # one block of 4001 points spread over (0, 1)
+    assert len(sweeps) <= 8
+    assert sum(sweeps) <= 2.2 * sweeps[0]
+
+
+def test_chi2_ppf_keeps_shape_and_far_tails():
+    law = ChiSquare(5)
+    grid = np.array([[0.1, 0.5], [0.7, 0.9]])
+    assert law.ppf(grid).shape == (2, 2)
+    assert np.array_equal(law.ppf(grid).ravel(), law.ppf(grid.ravel()))
+    # underflowed panel masses and densities at the low end, the last panel at
+    # the top: no warning, finite and ordered; 1e-14 still to 1e-12 relative
+    us = np.array([1e-300, 1e-30, 1e-14, np.nextafter(1.0, 0.0)])
+    xs = law.ppf(us)
+    assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
+    assert abs(xs[2] - stats.chi2.ppf(1e-14, 5)) <= 1e-12 * xs[2]
+
+
 def test_chi2_median_values():
     assert ChiSquare(2).ppf(np.array([0.5]))[0] == pytest.approx(2 * math.log(2), abs=1e-9)
     assert ChiSquare(5).ppf(np.array([0.5]))[0] == pytest.approx(4.35146, abs=1e-4)

@@ -55,9 +55,8 @@ def _pivots(band, fractions=(0.0, 0.3, 0.7, 1.0)):
 
 # each primal: (instance, a point in data units) -> interval in data units,
 # the range of admissible points, and where in that range to probe.  The
-# quantile range is probed inside the mean range only: at its edges the
-# range is a point, and its feasibility tolerance has an absolute floor
-# (see test_quantile_range_at_mean_edge_is_scale_free).
+# quantile range is probed inside the mean range here; at its edges the
+# range is a point (see test_quantile_range_at_mean_edge_is_scale_free).
 PRIMALS = {
     "median": (
         lambda inst, m: median_restricted_mean_interval(inst, m),
@@ -90,10 +89,9 @@ def test_scaling_and_translation(kind, n):
                 _assert_at(got, s * (ref.lo + t), s * (ref.hi + t), s * ref.width)
 
 
-@pytest.mark.xfail(strict=True, reason="absolute 1e-12 floor on the kappa tolerance")
 def test_quantile_range_at_mean_edge_is_scale_free():
-    # at kappa = E upper the range is one point; at scale 1e-6 the floor
-    # max(1, |kappa|) * 1e-12 is 1e-6 of the data and opens it by 8.6e-4
+    # at kappa = E upper the range is one point; an absolute tolerance floor
+    # of 1e-12 would be 1e-6 of the data at scale 1e-6 and open it by 8.6e-4
     inst = _instance(2000)
     box = aumann_interval(inst)
     ref = mean_restricted_quantile_range(inst, ALPHA, box.hi)
