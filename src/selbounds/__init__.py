@@ -86,6 +86,5 @@ from .extensions import (
     moment_selection,
     power_image_interval,
     quantile_restricted_mean_interval,
-    quantile_restriction_feasible,
 )
 from . import oracle

@@ -82,6 +82,14 @@ TOLERANCES = {
     "quadrature": 1e-8,
 }
 
+# kind -> (subcommand, help, flags); the order is verify's precedence
+RESTRICTIONS = {
+    "median": ("restrict-median", "mean interval under a median restriction", ("m",)),
+    "mean": ("restrict-mean-prob", "event probability under a mean pin", ("kappa",)),
+    "moment": ("restrict-moment", "mean interval under a moment pin", ("r", "mu")),
+    "quantile": ("restrict-quantile", "mean interval under a fixed quantile", ("alpha", "q")),
+}
+
 EXPORT_GRID = 1001   # points per exported CDF curve
 BOUND_GRID = 201     # points per bound curve: each one recomputes an interval
 
@@ -474,9 +482,7 @@ def export_curves(
 # the chi-square worked example
 
 
-def chi2_example(
-    grid_size: int = 200_001, weight_low: float = 0.3, export_path: str | None = None
-) -> dict:
+def chi2_example(grid_size: int = 200_001, export_path: str | None = None) -> dict:
     """End-to-end comonotone chi-square example report.
 
     Couples chi2(2) and chi2(5) through one uniform grid, restricts the
@@ -491,7 +497,7 @@ def chi2_example(
     high = marginal_law(instance, "upper")
     m_l = low.quantile(0.5)
     m_u = high.quantile(0.5)
-    m = weight_low * m_l + (1.0 - weight_low) * m_u
+    m = 0.3 * m_l + 0.7 * m_u
     interval = median_restricted_mean_interval(instance, m)
     terms_discrete = marginal_cost_terms(instance, m)
     terms_param = marginal_cost_terms_parametric(spec.lower_law, spec.upper_law, m)
@@ -552,32 +558,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--alpha", type=float, help="also report this quantile attainability range")
 
-    p = sub.add_parser("restrict-median", help="mean interval under a median restriction")
-    _add_source_args(p)
-    p.add_argument("--m", type=float, required=True)
-
-    p = sub.add_parser("restrict-mean-prob", help="event probability under a mean pin")
-    _add_source_args(p)
-    p.add_argument("--kappa", type=float, required=True)
-
-    p = sub.add_parser("restrict-moment", help="mean interval under a moment pin")
-    _add_source_args(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-
-    p = sub.add_parser("restrict-quantile", help="mean interval under a fixed quantile")
-    _add_source_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    for command, help_text, flags in RESTRICTIONS.values():
+        p = sub.add_parser(command, help=help_text)
+        _add_source_args(p)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=float, required=True)
 
     p = sub.add_parser("verify", help="differential oracle run for a restriction")
     _add_source_args(p)
-    p.add_argument("--m", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--q", type=float)
+    for _, _, flags in RESTRICTIONS.values():
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=float)
     p.add_argument("--tolerance", type=float, default=1e-9, help="largest accepted oracle delta")
 
     p = sub.add_parser("example-chi2", help="built-in chi-square worked example")
@@ -603,28 +594,22 @@ def _request_from_args(args) -> AnalysisRequest:
         run_oracle=args.command == "verify",
         export_path=getattr(args, "export", None),
         attainability_alpha=getattr(args, "alpha", None) if args.command == "bounds" else None,
+        restriction=_restriction_from_args(args),
     )
 
 
-def _restriction_from_args(args, command: str) -> tuple | None:
-    if command == "restrict-median":
-        return ("median", args.m)
-    if command == "restrict-mean-prob":
-        return ("mean", args.kappa)
-    if command == "restrict-moment":
-        return ("moment", args.r, args.mu)
-    if command == "restrict-quantile":
-        return ("quantile", args.alpha, args.q)
-    if command == "verify":
-        if args.m is not None:
-            return ("median", args.m)
-        if args.kappa is not None:
-            return ("mean", args.kappa)
-        if args.r is not None and args.mu is not None:
-            return ("moment", args.r, args.mu)
-        if args.alpha is not None and args.q is not None:
-            return ("quantile", args.alpha, args.q)
-        raise InputError("verify needs one restriction (--m | --kappa | --r/--mu | --alpha/--q)")
+def _restriction_from_args(args) -> tuple | None:
+    """The request's restriction tuple; ``verify`` takes the first kind, in
+    table order, whose flags are all given."""
+    for kind, (command, _, flags) in RESTRICTIONS.items():
+        values = [getattr(args, flag, None) for flag in flags]
+        if args.command == command or (args.command == "verify" and None not in values):
+            return (kind, *values)
+    if args.command == "verify":
+        options = " | ".join(
+            "/".join(f"--{flag}" for flag in flags) for _, _, flags in RESTRICTIONS.values()
+        )
+        raise InputError(f"verify needs one restriction ({options})")
     return None
 
 
@@ -649,9 +634,7 @@ def main(argv=None) -> int:
             _emit(report, args.out)
             return 0
 
-        request = _request_from_args(args)
-        request.restriction = _restriction_from_args(args, args.command)
-        report = run(request)
+        report = run(_request_from_args(args))
         _emit(report, getattr(args, "out", None))
         if report["feasibility"]["status"] == "infeasible":
             return 2

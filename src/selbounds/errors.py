@@ -66,10 +66,9 @@ class InvalidPower(InputError):
 class ParseError(InputError):
     """Malformed CSV or request input."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class EmptyFile(ParseError):

@@ -42,7 +42,7 @@ from .benchmarks import (
     mean_selection,
     quantile_attainability_range,
 )
-from .median import partition, pivot_mean_interval
+from .median import _pivot_fill, partition, pivot_mean_interval
 
 _ATOL = 1e-12
 
@@ -290,20 +290,12 @@ def moment_selection(
     return Selection.from_cells(instance.weight, [(x, instance.weight * theta)], rest)
 
 
-def quantile_restriction_feasible(
-    instance: DiscreteInstance, restriction: QuantileRestriction
-) -> bool:
-    """True iff the target sits inside the attainability range."""
-    rng = quantile_attainability_range(instance, restriction.alpha)
-    return rng.contains(restriction.q)
-
-
 def quantile_restricted_mean_interval(
     instance: DiscreteInstance, restriction: QuantileRestriction
 ) -> ClosedInterval:
     """Mean range over selections with alpha-quantile pinned at q."""
-    if not quantile_restriction_feasible(instance, restriction):
-        rng = quantile_attainability_range(instance, restriction.alpha)
+    rng = quantile_attainability_range(instance, restriction.alpha)
+    if not rng.contains(restriction.q):
         raise InfeasibleQuantile(
             f"q={restriction.q} outside the attainability range "
             f"[{rng.lo}, {rng.hi}] at alpha={restriction.alpha}"
@@ -322,11 +314,11 @@ def mean_restricted_quantile_range(
     Both maps are nondecreasing in q, affine between breakpoints (scenario
     endpoints) and may jump upward at one, so a bisection over the sorted
     breakpoints finds the first with E_max >= kappa and the first with
-    E_min > kappa.  The segment before each is an exact line: its slope is
-    the capped contact mass min(max(alpha - p_minus, 0), p0) for E_max, or
-    the lifted one min(max(1 - alpha - p_plus, 0), p0) for E_min, from one
-    partition at the midpoint.  Endpoints are closure values: one on an
-    upward jump (a zero-width scenario) may be a supremum, not attained.
+    E_min > kappa.  The segment before each is an exact line: one partition
+    and one pivot fill at its midpoint give the endpoint's value there and
+    its slope, the capped (E_max) or lifted (E_min) contact mass.  Endpoints
+    are closure values: one on an upward jump (a zero-width scenario) may be
+    a supremum, not attained.
     """
     kappa = _clip_kappa(instance, kappa)
     rng = quantile_attainability_range(instance, alpha)
@@ -346,13 +338,15 @@ def mean_restricted_quantile_range(
         """Where E_max (upper_side) or E_min reaches kappa on (grid[i-1], grid[i])."""
         a, b = float(grid[i - 1]), float(grid[i])
         mid = 0.5 * (a + b)
-        iv, part = at(mid), partition(instance, mid)
+        part = partition(instance, mid)
         if upper_side:
-            value, slope = iv.hi, min(max(alpha - part.p_minus, 0.0), part.p0)
+            slope, cost, _ = _pivot_fill(instance, part, alpha, "max")
+            value = instance.mean_upper() - cost
             if value + slope * (a - mid) >= kappa - tol:
                 return a   # on the upward jump at a
         else:
-            value, slope = iv.lo, min(max(1.0 - alpha - part.p_plus, 0.0), part.p0)
+            slope, cost, _ = _pivot_fill(instance, part, 1.0 - alpha, "min")
+            value = instance.mean_lower() + cost
             if value + slope * (b - mid) <= kappa + tol:
                 return b   # on the upward jump at b
         if slope > 0.0:

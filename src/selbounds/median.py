@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InfeasibleMedian, InputError, MOutsideMedianSpan
 from .laws import Law
 from .model import ClosedInterval, DiscreteInstance, marginal_law
-from .rearrange import ConditionalLaw, least_x_set, sorted_partial_sum
+from .rearrange import _greedy_fill
 from .benchmarks import Selection
 
 _ATOL = 1e-12
@@ -80,6 +80,34 @@ def _require_feasible(part: MedianPartition) -> None:
         )
 
 
+def _pivot_fill(instance: DiscreteInstance, part: MedianPartition, need: float, side: str):
+    """Least-gap fill of the contact set at the pivot, for one side.
+
+    side="max" caps the cheapest gaps upper - pivot for the mass that
+    ``need`` at or below the pivot lacks after p_minus; side="min" lifts the
+    cheapest gaps pivot - lower for the mass ``need`` at or above it lacks
+    after p_plus.  Returns (mass, cost, taken): the filled mass, which is
+    the slope of E_max (E_min) in the pivot between scenario endpoints, the
+    cost that E upper loses (E lower gains), and each scenario's pivot mass.
+    """
+    outside, gaps = (part.p_minus, part.u_gaps) if side == "max" else (part.p_plus, part.l_gaps)
+    mass = min(max(need - outside, 0.0), part.p0)
+    taken = np.zeros(instance.n)
+    if mass == 0.0:
+        return mass, 0.0, taken
+    w = instance.weight[part.contact]
+    order, k, frac, cost = _greedy_fill(gaps, w, mass)
+    taken[part.contact[order[:k]]] = w[order[:k]]
+    taken[part.contact[order[k]]] = frac   # the boundary scenario's filled fraction
+    return mass, cost, taken
+
+
+def _pivot_interval(instance: DiscreteInstance, part: MedianPartition, below: float, above: float):
+    e_hi = instance.mean_upper() - _pivot_fill(instance, part, below, "max")[1]
+    e_lo = instance.mean_lower() + _pivot_fill(instance, part, above, "min")[1]
+    return ClosedInterval(e_lo, e_hi)
+
+
 def pivot_mean_interval(
     instance: DiscreteInstance, pivot: float, below_need: float, above_need: float
 ) -> ClosedInterval:
@@ -90,15 +118,7 @@ def pivot_mean_interval(
     lower endpoint raises the cheapest gaps pivot - lower.  Shared by the
     median case (1/2, 1/2) and the general quantile case (alpha, 1-alpha).
     """
-    part = partition(instance, pivot)
-    w = instance.weight[part.contact]
-    cap = min(max(below_need - part.p_minus, 0.0), part.p0)
-    lift = min(max(above_need - part.p_plus, 0.0), part.p0)
-    cost_hi = sorted_partial_sum(part.u_gaps, w, cap) if cap > 0.0 else 0.0
-    cost_lo = sorted_partial_sum(part.l_gaps, w, lift) if lift > 0.0 else 0.0
-    e_hi = instance.mean_upper() - cost_hi
-    e_lo = instance.mean_lower() + cost_lo
-    return ClosedInterval(e_lo, e_hi)
+    return _pivot_interval(instance, partition(instance, pivot), below_need, above_need)
 
 
 def median_restricted_mean_interval(instance: DiscreteInstance, m: float) -> ClosedInterval:
@@ -111,20 +131,7 @@ def median_restricted_mean_interval(instance: DiscreteInstance, m: float) -> Clo
     """
     part = partition(instance, m)
     _require_feasible(part)
-    return pivot_mean_interval(instance, m, 0.5, 0.5)
-
-
-def _pivot_mass(instance: DiscreteInstance, part: MedianPartition, side: str) -> np.ndarray:
-    """Per-scenario mass the ``side`` extremal selection puts at the pivot:
-    the least-gap contact subset of mass equal to the binding shortfall."""
-    gaps = part.u_gaps if side == "max" else part.l_gaps
-    shortfall = part.alpha_minus if side == "max" else part.alpha_plus
-    taken = np.zeros(instance.n)
-    if part.p0 > 0.0 and shortfall > 0.0:
-        cond = ConditionalLaw(part.contact, instance.weight[part.contact], gaps)
-        subset = least_x_set(cond, min(shortfall, part.p0))
-        taken[subset.indices] = subset.subweights
-    return taken
+    return _pivot_interval(instance, part, 0.5, 0.5)
 
 
 def extremal_selection(instance: DiscreteInstance, m: float, side: str) -> Selection:
@@ -140,7 +147,7 @@ def extremal_selection(instance: DiscreteInstance, m: float, side: str) -> Selec
     part = partition(instance, m)
     _require_feasible(part)
     base_values = instance.upper if side == "max" else instance.lower
-    taken = _pivot_mass(instance, part, side)
+    taken = _pivot_fill(instance, part, 0.5, side)[2]
     return Selection.from_cells(instance.weight, [(float(m), taken)], base_values)
 
 
@@ -160,8 +167,8 @@ def mixed_selection(instance: DiscreteInstance, m: float, theta: float) -> Selec
     part = partition(instance, m)
     _require_feasible(part)
     m = float(m)
-    t_hi = _pivot_mass(instance, part, "max")
-    t_lo = _pivot_mass(instance, part, "min")
+    t_hi = _pivot_fill(instance, part, 0.5, "max")[2]
+    t_lo = _pivot_fill(instance, part, 0.5, "min")[2]
 
     def blend(v_hi, v_lo):
         # equal cell values (both at the pivot) must survive exactly
@@ -203,15 +210,13 @@ def marginal_cost_terms(instance: DiscreteInstance, m: float) -> CostTerms:
     return CostTerms(s_lower, s_upper, implied)
 
 
-def marginal_cost_terms_parametric(
-    lower_law: Law, upper_law: Law, m: float, tol: float = 1e-8
-) -> CostTerms:
-    """Same cost terms for parametric marginals, by adaptive quadrature."""
+def marginal_cost_terms_parametric(lower_law: Law, upper_law: Law, m: float) -> CostTerms:
+    """Same cost terms for parametric marginals, by adaptive quadrature to 1e-8."""
     m_l = float(np.asarray(lower_law.ppf(np.array([0.5])))[0])
     m_u = float(np.asarray(upper_law.ppf(np.array([0.5])))[0])
     m = _check_span(m, m_l, m_u)
-    s_lower = _adaptive_simpson(lambda t: float(lower_law.cdf(t)) - 0.5, m_l, m, tol)
-    s_upper = _adaptive_simpson(lambda t: 0.5 - float(upper_law.cdf(t)), m, m_u, tol)
+    s_lower = _adaptive_simpson(lambda t: float(lower_law.cdf(t)) - 0.5, m_l, m, 1e-8)
+    s_upper = _adaptive_simpson(lambda t: 0.5 - float(upper_law.cdf(t)), m, m_u, 1e-8)
     implied = ClosedInterval(lower_law.mean() + s_lower, upper_law.mean() - s_upper)
     return CostTerms(s_lower, s_upper, implied)
 

@@ -231,14 +231,6 @@ class StepDistribution:
     def mean(self) -> float:
         return float(np.dot(self.values, self.masses))
 
-    def median_interval(self) -> ClosedInterval:
-        """The closed set {m : P(Z<=m) >= 1/2 and P(Z>=m) >= 1/2}."""
-        lo = self.quantile(0.5)
-        idx = int(np.searchsorted(self.values, lo))
-        if abs(self._cum[idx] - 0.5) <= MASS_ATOL and idx + 1 < self.n:
-            return ClosedInterval(lo, float(self.values[idx + 1]))
-        return ClosedInterval(lo, lo)
-
     def integrate_cdf_offset(self, a: float, b: float, offset: float) -> float:
         """Exact step integral of (cdf(t) - offset) over [a, b], a <= b."""
         if b < a:

@@ -9,11 +9,13 @@ quantile function,
 
 On finite instances the infimum is attained exactly by taking whole atoms
 in ascending X order and splitting the boundary atom fractionally.  One
-greedy fill kernel does this; :func:`sorted_partial_sum` returns its value
-and :func:`least_x_set` also the chosen subset.  Quantile-step integration
-(:func:`conditional_quantile_integral`) is implemented independently of
-that kernel and must agree with it to machine precision; this is the
-workhorse behind every pivot-restricted mean bound in the package.
+greedy fill kernel does this.  Every pivot-restricted mean bound and its
+attaining selection reach it through one call site, the pivot fill in
+:mod:`selbounds.median`; :func:`sorted_partial_sum` (the fill's value) and
+:func:`least_x_set` (also the chosen subset) are thin public wrappers.
+Quantile-step integration (:func:`conditional_quantile_integral`) is
+implemented independently of that kernel and must agree with it to machine
+precision.
 """
 
 from __future__ import annotations

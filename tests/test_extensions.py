@@ -19,7 +19,6 @@ from selbounds import (
     power_image_interval,
     quantile_attainability_range,
     quantile_restricted_mean_interval,
-    quantile_restriction_feasible,
     quantile_selection,
     oracle,
 )
@@ -219,16 +218,16 @@ class TestMomentSolver:
 
 class TestQuantileFeasibility:
     def test_constant_inside(self):
-        assert quantile_restriction_feasible(UNIT, QuantileRestriction(0.3, 0.5))
+        assert quantile_attainability_range(UNIT, 0.3).contains(0.5)
 
     def test_below_range(self):
-        assert not quantile_restriction_feasible(UNIT, QuantileRestriction(0.3, -0.2))
+        assert not quantile_attainability_range(UNIT, 0.3).contains(-0.2)
 
     def test_chi2_target_median(self):
         from selbounds import ComonotoneSpec, discretize, parse_law
 
         inst = discretize(ComonotoneSpec(parse_law("chi2(2)"), parse_law("chi2(5)"), 5001))
-        assert quantile_restriction_feasible(inst, QuantileRestriction(0.5, 3.46))
+        assert quantile_attainability_range(inst, 0.5).contains(3.46)
 
 
 class TestQuantileRestrictedInterval:
@@ -347,27 +346,39 @@ class TestMeanRestrictedQuantileRange:
         assert below.hi < 1.6
 
     def test_bisection_call_count(self, monkeypatch):
-        # one monotone bisection per endpoint plus one segment midpoint each,
-        # not a scan over every breakpoint
+        # one monotone bisection per endpoint, not a scan over every
+        # breakpoint; a crossing reads its segment's line from one partition
+        # and one pivot fill at the midpoint, with no further interval
         import selbounds.extensions as ext
+        import selbounds.median as med
 
-        calls = []
-        real = ext.pivot_mean_interval
+        calls, parts = [], []
+        real, real_partition = ext.pivot_mean_interval, med.partition
         monkeypatch.setattr(
             ext, "pivot_mean_interval", lambda *a: calls.append(a[1]) or real(*a)
         )
+        counted = lambda *a: parts.append(a[1]) or real_partition(*a)
+        for module in (ext, med):
+            monkeypatch.setattr(module, "partition", counted)
         inst = random_instance(np.random.default_rng(37), n=2000)
         box = aumann_interval(inst)
-        kappa = box.lo + 0.4 * box.width
-        got = mean_restricted_quantile_range(inst, 0.5, kappa)
         band = quantile_attainability_range(inst, 0.5)
         ends = np.unique(np.concatenate([inst.lower, inst.upper]))
         breakpoints = int(np.count_nonzero((ends >= band.lo) & (ends <= band.hi)))
         assert breakpoints > 500
-        assert len(calls) <= 2 * math.ceil(math.log2(breakpoints + 1)) + 2
-        for q in (got.lo, got.hi):
-            iv = real(inst, q, 0.5, 0.5)
-            assert iv.lo - 1e-9 <= kappa <= iv.hi + 1e-9
+        # at 40% of the mean box both ends are band ends; at 2% the lower
+        # one is a crossing inside a segment
+        for frac, crossings in ((0.4, 0), (0.02, 1)):
+            calls.clear()
+            parts.clear()
+            kappa = box.lo + frac * box.width
+            got = mean_restricted_quantile_range(inst, 0.5, kappa)
+            assert len(calls) <= 2 * math.ceil(math.log2(breakpoints + 1)) + 2
+            assert set(calls) <= set(ends) | {band.lo, band.hi}
+            assert len(parts) == len(calls) + crossings
+            for q in (got.lo, got.hi):
+                iv = real(inst, q, 0.5, 0.5)
+                assert iv.lo - 1e-9 <= kappa <= iv.hi + 1e-9
 
     def test_inside_attainability(self):
         rng = np.random.default_rng(29)

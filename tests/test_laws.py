@@ -8,7 +8,7 @@ from selbounds import AlphaOutOfRange, InputError, parse_law
 from selbounds.laws import ChiSquare, Exponential, Normal, Uniform
 
 
-@pytest.mark.parametrize("df", [1, 2, 5, 7.5])
+@pytest.mark.parametrize("df", [1, 1.25, 1.5, 2, 5, 7.5])
 def test_chi2_cdf_matches_scipy(df):
     law = ChiSquare(df)
     xs = np.array([0.01, 0.3, 1.0, 1.386, 3.46, 4.351, 10.0, 30.0])
@@ -23,6 +23,14 @@ def test_chi2_ppf_inverts_to_tolerance(df):
     # contract: the inversion residual in probability is far below 1e-10
     assert np.max(np.abs(law.cdf(xs) - us)) < 1e-10
     assert np.max(np.abs(xs - stats.chi2.ppf(us, df))) < 1e-7
+
+
+@pytest.mark.parametrize("df", [2, 5])
+def test_chi2_ppf_deep_in_the_first_panel(df):
+    # u far below the first panel's mass: the start must follow the power law
+    us = np.array([1e-300, 1e-100])
+    ref = stats.chi2.ppf(us, df)
+    assert np.max(np.abs(ChiSquare(df).ppf(us) - ref) / ref) <= 1e-12
 
 
 GRID = (np.arange(200_001) + 0.5) / 200_001   # the worked example's midpoint grid

@@ -12,12 +12,16 @@ from selbounds import (
     marginal_cost_terms,
     marginal_cost_terms_parametric,
     marginal_law,
+    median_benchmark,
     median_restricted_mean_interval,
     mixed_selection,
     parse_law,
     partition,
     oracle,
 )
+
+import selbounds.median as median
+from selbounds.rearrange import ConditionalLaw
 
 from helpers import constant_instance, law_median_holds, random_instance, two_state_instance
 
@@ -203,6 +207,26 @@ class TestMixedSelection:
                 assert sel.mean() == pytest.approx(want, abs=1e-12)
                 assert law_median_holds(sel.law(), m)
             done += 1
+
+
+class TestOnePartitionOneFill:
+    def test_each_query_partitions_once_and_fills_directly(self, monkeypatch):
+        parts, laws = [], []
+        real_partition, real_init = median.partition, ConditionalLaw.__init__
+        monkeypatch.setattr(median, "partition", lambda *a: parts.append(1) or real_partition(*a))
+        monkeypatch.setattr(ConditionalLaw, "__init__", lambda *a: laws.append(1) or real_init(*a))
+        inst = random_instance(np.random.default_rng(71), n=40)
+        m = float(np.mean(median_benchmark(inst).as_tuple()))
+        assert median.partition(inst, m).p0 > 0.0
+        for query in (
+            lambda: median_restricted_mean_interval(inst, m),
+            lambda: extremal_selection(inst, m, "max"),
+            lambda: extremal_selection(inst, m, "min"),
+            lambda: mixed_selection(inst, m, 0.5),
+        ):
+            parts.clear()
+            query()
+            assert (len(parts), len(laws)) == (1, 0)
 
 
 class TestNoShrinkExample:
