@@ -20,7 +20,7 @@ from .errors import (
     MOutOfRange,
     SelectionMismatch,
 )
-from .model import ClosedInterval, DiscreteInstance, StepDistribution, marginal_law
+from .model import ClosedInterval, DiscreteInstance, StepDistribution, _marginal
 
 _ATOL = 1e-12
 
@@ -121,8 +121,8 @@ def quantile_attainability_range(instance: DiscreteInstance, alpha: float) -> Cl
     """Attainable alpha-quantiles of selections: hitting to containment."""
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
-    lo = marginal_law(instance, "lower").quantile(alpha)
-    hi = marginal_law(instance, "upper").quantile(alpha)
+    lo = _marginal(instance, "lower").quantile(alpha)
+    hi = _marginal(instance, "upper").quantile(alpha)
     return ClosedInterval(lo, hi)
 
 

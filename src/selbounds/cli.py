@@ -45,12 +45,13 @@ from .model import (
     ClosedInterval,
     ComonotoneSpec,
     DiscreteInstance,
+    _marginal,
     discretize,
-    marginal_law,
     normalize,
 )
 from .benchmarks import aumann_interval, median_benchmark, quantile_attainability_range
 from .median import (
+    _median_interval,
     extremal_selection,
     marginal_cost_terms,
     marginal_cost_terms_parametric,
@@ -60,6 +61,7 @@ from .median import (
 from .events import (
     TargetSet,
     _dual,
+    _pin_at,
     _prob_bounds,
     _unrestricted,
     gap_profile,
@@ -302,7 +304,7 @@ def _run_restriction(request, instance, median_range, prof, restricted) -> None:
     if kind == "median":
         m = request.restriction[1]
         part = partition(instance, m)
-        iv = median_restricted_mean_interval(instance, m)
+        iv = _median_interval(instance, part)
         restricted["median_mean"] = _interval(iv, "closed-form")
         restricted["partition"] = {
             "p_minus": part.p_minus,
@@ -327,7 +329,7 @@ def _run_restriction(request, instance, median_range, prof, restricted) -> None:
         kappa = request.restriction[1]
         if prof is None:
             raise InputError("mean restriction reporting needs --target")
-        iv, cal = _prob_bounds(instance, prof, kappa)
+        iv, cal = _pin_at(instance, prof, kappa)
         env = _dual(instance, prof, kappa)
         restricted["probability"] = _interval(iv, "closed-form")
         restricted["probability_dual"] = {
@@ -420,8 +422,8 @@ def export_curves(
         written.append(str(path))
         schema.append(f"{path.name}: {description}; columns: {', '.join(header)}")
 
-    lo_law = marginal_law(instance, "lower")
-    hi_law = marginal_law(instance, "upper")
+    lo_law = _marginal(instance, "lower")
+    hi_law = _marginal(instance, "upper")
     tmin, tmax = float(instance.lower.min()), float(instance.upper.max())
     pad = 0.05 * max(tmax - tmin, 1.0)
     ts = np.linspace(tmin - pad, tmax + pad, EXPORT_GRID)
@@ -460,15 +462,13 @@ def export_curves(
         box = aumann_interval(instance)
         ks = np.linspace(box.lo, box.hi, BOUND_GRID)
         if prof is None:
-            prof = gap_profile(instance, request.target)   # one profile serves the curve
-        rows = []
-        for kk in ks:
-            iv = _prob_bounds(instance, prof, float(kk))[0]
-            rows.append((kk, iv.lo, iv.hi))
+            prof = gap_profile(instance, request.target)
+        # one profile and one sorted fill per regime serve the whole curve
+        lower, upper = _prob_bounds(instance, prof, ks)
         emit(
             "bounds",
             ["kappa", "L", "U"],
-            rows,
+            np.column_stack([ks, lower, upper]),
             "probability bounds over the mean grid",
         )
 
@@ -493,8 +493,8 @@ def chi2_example(grid_size: int = 200_001, export_path: str | None = None) -> di
     """
     spec = ComonotoneSpec(parse_law("chi2(2)"), parse_law("chi2(5)"), grid_size)
     instance = discretize(spec)
-    low = marginal_law(instance, "lower")
-    high = marginal_law(instance, "upper")
+    low = _marginal(instance, "lower")
+    high = _marginal(instance, "upper")
     m_l = low.quantile(0.5)
     m_u = high.quantile(0.5)
     m = 0.3 * m_l + 0.7 * m_u

@@ -10,9 +10,11 @@ in that gap: every scenario whose gap clears a common threshold switches,
 and the scenario exactly at the threshold splits its mass (boundary
 randomization) so the mean constraint holds with equality.  Finding that
 threshold is the greedy fill of :mod:`selbounds.rearrange` over mean
-costs.  Each such selection is two scenario-aligned cells, the switched
-mass at its in-target point and the rest at the endpoint, built by
-:meth:`Selection.from_cells`.
+costs.  The gap order does not depend on kappa, only the mass to fill
+does, so each regime is sorted once and one ``searchsorted`` answers a
+whole batch of kappas (:func:`_prob_bounds`).  Each such selection is two
+scenario-aligned cells, the switched mass at its in-target point and the
+rest at the endpoint, built by :meth:`Selection.from_cells`.
 
 The same values admit a dual description as envelopes over a scalar
 multiplier.  Each envelope is piecewise linear in the multiplier, so
@@ -25,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, KappaInfeasible
 from .model import ClosedInterval, DiscreteInstance
-from .benchmarks import Selection, _clip_kappa
-from .rearrange import _greedy_fill
+from .benchmarks import Selection, _clip_kappa, aumann_interval
+from .rearrange import _fill_at, _sort_fill
 
 _ATOL = 1e-12
 
@@ -158,29 +161,120 @@ class Calibration:
     probability: float
 
 
-def _engage(gaps: np.ndarray, w: np.ndarray, need: float, descending: bool = False):
-    """Engaged weight per scenario for the mean shift ``need``.
+class _MeanFill(NamedTuple):
+    """One regime of a mean-pinned bound, its gaps sorted once: engaging
+    scenario i shifts the mean by gap_i * w_i, so the cheapest engagements
+    per unit of probability come in gap order."""
 
-    Engaging scenario i shifts the mean by gaps[i] * w[i], so the cheapest
-    engagements per unit of probability are one greedy fill over the gaps
-    (descending for the infimum) with mass ``need`` in units of mean.  The
-    boundary scenario engages the fraction that makes the shift exact;
-    zero gaps engage for free.  Returns the engaged weights and the
-    boundary gap (0.0 when nothing needs to move).
+    index: np.ndarray       # pool scenarios in fill order
+    weight: np.ndarray
+    cost: np.ndarray        # gap * weight
+    cum_cost: np.ndarray
+    cum_weight: np.ndarray
+    reach: float            # dot(gap, weight): the largest shift the pool buys
+    cap: float              # sum of the costs, the fill's own clip
+    free: int               # zero gaps: first in the order, engaged at no cost
+    base: float             # the mean the shift starts from
+
+
+def _engage(fill: _MeanFill, need: np.ndarray):
+    """The fill at each mean shift of ``need``: (k, share, probability).
+
+    The first k scenarios of the order engage whole and scenario k engages
+    the fraction ``share`` of its weight that makes the shift exact; the
+    probability is the engaged weight.  A shift within tolerance of zero
+    engages only the free scenarios, and only then is ``share`` 0.
     """
-    total = float(np.dot(gaps, w))
-    if need > total + max(1e-9, 1e-9 * total):
+    if need.max() > fill.reach + max(1e-9, 1e-9 * fill.reach):
         raise KappaInfeasible("mean target outside the reachable range")
-    cost = gaps * w
-    mass = min(need, total) if need > _ATOL else 0.0
-    order, k, frac, _ = _greedy_fill(-gaps if descending else gaps, cost, mass)
-    engaged = np.where(gaps == 0.0, w, 0.0)
-    engaged[order[:k]] = w[order[:k]]
-    if mass == 0.0:
-        return engaged, 0.0
-    edge = order[k]
-    engaged[edge] = w[edge] * min(frac / cost[edge], 1.0)
-    return engaged, float(gaps[edge])
+    mass = np.minimum(need, min(fill.reach, fill.cap))
+    mass[need <= _ATOL] = 0.0
+    if fill.cost.size == 0:
+        return np.zeros(mass.shape, dtype=int), np.zeros(mass.shape), np.zeros(mass.shape)
+    k, frac = _fill_at(fill.cum_cost, mass)
+    edge = fill.cost[k]
+    share = np.divide(frac, edge, out=np.ones_like(frac), where=edge > 0.0)
+    np.minimum(share, 1.0, out=share)
+    prob = np.where(k > 0, fill.cum_weight[k - 1], 0.0) + fill.weight[k] * share
+    still = mass == 0.0
+    if still.any():
+        k[still] = fill.free
+        share[still] = 0.0
+        prob[still] = fill.cum_weight[fill.free - 1] if fill.free else 0.0
+    return k, share, prob
+
+
+def _span(instance: DiscreteInstance, prof: GapProfile, bound: str):
+    """Values of the two selections whose means bound the slack span of U
+    (``"sup"``: hit scenarios at a_minus and a_plus) or of L (``"inf"``:
+    partial scenarios at out_low and out_high); the rest sit at their
+    endpoints."""
+    if bound == "sup":
+        on, low, high = prof.hit, prof.a_minus, prof.a_plus
+    else:
+        on, low, high = prof.hit & ~prof.contain, prof.out_low, prof.out_high
+    return np.where(on, low, instance.lower), np.where(on, high, instance.upper)
+
+
+def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above: bool, fills):
+    """The fill of U (``"sup"``) or L (``"inf"``) above or below its slack
+    span, sorted once; kept in ``fills`` when that is a dict.
+
+    U starts from the upper endpoints and pulls hit scenarios down onto
+    a_plus (above), or from the lower ones and pushes them up onto a_minus
+    (below), cheapest gaps first.  L starts from the avoiding selection
+    and lets partial scenarios re-enter through the largest gaps first:
+    a_plus - out_high above, out_low - a_minus below.  The infimum may be
+    unattained (complement extremes are closure points); its value is exact.
+    """
+    if fills is not None and (bound, above) in fills:
+        return fills[bound, above]
+    if bound == "sup":
+        gaps, pool = (prof.delta_plus if above else prof.delta_minus), prof.hit
+        base = instance.mean_upper() if above else instance.mean_lower()
+    else:
+        partial = prof.hit & ~prof.contain
+        reentry = prof.a_plus - prof.out_high if above else prof.out_low - prof.a_minus
+        gaps = np.where(partial, np.maximum(reentry, 0.0), 0.0)
+        pool = partial & (gaps > 0.0)
+        low, high = _span(instance, prof, "inf")
+        base = float(np.dot(instance.weight, high if above else low))
+    idx = np.flatnonzero(pool)
+    g, w = gaps[idx], instance.weight[idx]
+    cost = g * w
+    order, sorted_cost, cum_cost = _sort_fill(-g if bound == "inf" else g, cost)
+    weight = w[order]
+    fill = _MeanFill(
+        idx[order], weight, sorted_cost, cum_cost, np.cumsum(weight), float(np.dot(g, w)),
+        float(cost.sum()), int(np.count_nonzero(g == 0.0)), base,
+    )
+    if fills is not None:
+        fills[bound, above] = fill
+    return fill
+
+
+def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas, fills) -> np.ndarray:
+    """U (``"sup"``) or L (``"inf"``) at each clipped kappa.
+
+    Inside the slack span (within tolerance) U counts every hit scenario
+    and L only the contained ones.  Beyond it each kappa needs the mean
+    shift |base - kappa| from its regime's fill, so one sort per regime
+    and one ``searchsorted`` serve every kappa.
+    """
+    w = instance.weight
+    lo, hi = (float(np.dot(w, v)) for v in _span(instance, prof, bound))
+    slack = float(w[prof.hit if bound == "sup" else prof.contain].sum())
+    floor = 0.0 if bound == "sup" else slack   # L's contained mass always counts
+    out = np.full(kappas.shape, slack)
+    inside = (lo - _ATOL <= kappas) & (kappas <= hi + _ATOL)
+    if inside.all():
+        return out
+    above = ~inside & (kappas > hi)
+    for side, at in ((True, above), (False, ~inside & ~above)):
+        if at.any():
+            fill = _regime_fill(instance, prof, bound, side, fills)
+            out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]))[2]
+    return out
 
 
 def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) -> Calibration:
@@ -196,14 +290,11 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
     return _calibrate(instance, gap_profile(instance, target), _clip_kappa(instance, kappa))
 
 
-def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> Calibration:
-    """:func:`calibrate_mean` on a built profile and a clipped kappa."""
+def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills=None) -> Calibration:
+    """:func:`calibrate_mean` on a built profile and a clipped kappa, from
+    the fill that gives U, so its probability is U(kappa) exactly."""
     w = instance.weight
-    hit = prof.hit
-
-    # mean span of fully hit-maximizing selections (mean constraint slack)
-    hi_vals = np.where(hit, prof.a_plus, instance.upper)
-    lo_vals = np.where(hit, prof.a_minus, instance.lower)
+    lo_vals, hi_vals = _span(instance, prof, "sup")
     k_lo = float(np.dot(w, lo_vals))
     k_hi = float(np.dot(w, hi_vals))
 
@@ -211,79 +302,64 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> Ca
         span = k_hi - k_lo
         tau = 0.0 if span <= 0.0 else min(max((kappa - k_lo) / span, 0.0), 1.0)
         sel = Selection.from_cells(w, [(hi_vals, w * tau)], lo_vals)
-        return Calibration(0.0, sel, float(w[hit].sum()))
+        return Calibration(0.0, sel, float(w[prof.hit].sum()))
 
-    if kappa > k_hi:
-        # high-mean regime: start from the upper endpoints and pull the
-        # cheapest hit scenarios down onto their best in-target point.
-        need = instance.mean_upper() - kappa
-        gaps = prof.delta_plus
-        engaged_value = prof.a_plus
-        base_value = instance.upper
-        sign = 1.0
-    else:
-        need = kappa - instance.mean_lower()
-        gaps = prof.delta_minus
-        engaged_value = prof.a_minus
-        base_value = instance.lower
-        sign = -1.0
-
+    above = kappa > k_hi
+    fill = _regime_fill(instance, prof, "sup", above, fills)
+    (k,), (share,), (prob,) = _engage(fill, np.abs(fill.base - np.array([kappa])))
     engaged = np.zeros(instance.n)
-    engaged[hit], edge_gap = _engage(gaps[hit], w[hit], need)
-    sel = Selection.from_cells(w, [(engaged_value, engaged)], base_value)
-    lam = math.inf if edge_gap == 0.0 else 1.0 / edge_gap
-    return Calibration(sign * lam, sel, float(engaged.sum()))
-
-
-def _min_probability(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> float:
-    """inf P(y in A) subject to the mean pin (value only).
-
-    Scenarios flee the target through the nearest complement point.  When
-    the mean forces some back inside, the cheapest re-entries per unit of
-    probability are the LARGEST gaps, so the same greedy fill over mean
-    costs runs through the gaps in descending order and the boundary
-    scenario re-enters fractionally.  The infimum may be unattained
-    (complement extremes are closure points); the value is still exact.
-    Takes a built profile and a clipped kappa.
-    """
-    w = instance.weight
-    partial = prof.hit & ~prof.contain
-
-    base_low = np.where(partial, prof.out_low, instance.lower)
-    base_high = np.where(partial, prof.out_high, instance.upper)
-    j_lo = float(np.dot(w, base_low))
-    j_hi = float(np.dot(w, base_high))
-    p_contain = float(w[prof.contain].sum())
-
-    if j_lo - _ATOL <= kappa <= j_hi + _ATOL:
-        return p_contain
-
-    if kappa < j_lo:
-        # must dip below the avoidance floor: re-enter at a_minus
-        gaps = np.where(partial, np.maximum(prof.out_low - prof.a_minus, 0.0), 0.0)
-        need = j_lo - kappa
-    else:
-        gaps = np.where(partial, np.maximum(prof.a_plus - prof.out_high, 0.0), 0.0)
-        need = kappa - j_hi
-
-    pool = partial & (gaps > 0.0)
-    engaged, _ = _engage(gaps[pool], w[pool], need, descending=True)
-    return p_contain + float(engaged.sum())
+    engaged[fill.index[:k]] = fill.weight[:k]
+    lam = math.inf   # nothing moves: selections are endpoints
+    if share > 0.0:
+        edge = fill.index[k]
+        engaged[edge] = fill.weight[k] * share
+        gap = float((prof.delta_plus if above else prof.delta_minus)[edge])
+        lam = math.inf if gap == 0.0 else 1.0 / gap
+    if above:
+        sel = Selection.from_cells(w, [(prof.a_plus, engaged)], instance.upper)
+        return Calibration(lam, sel, float(prob))
+    sel = Selection.from_cells(w, [(prof.a_minus, engaged)], instance.lower)
+    return Calibration(-lam, sel, float(prob))
 
 
 def mean_restricted_prob_bounds(
     instance: DiscreteInstance, target: TargetSet, kappa: float
 ) -> ClosedInterval:
     """[L(kappa), U(kappa)]: probability range under the mean pin."""
-    return _prob_bounds(instance, gap_profile(instance, target), kappa)[0]
+    (lower,), (upper,) = _prob_bounds(instance, gap_profile(instance, target), [kappa])
+    return ClosedInterval(float(lower), float(upper))
 
 
-def _prob_bounds(instance: DiscreteInstance, prof: GapProfile, kappa: float):
-    """[L(kappa), U(kappa)] and the calibration attaining U, from one profile."""
-    kappa = _clip_kappa(instance, kappa)
-    cal = _calibrate(instance, prof, kappa)
-    lower = min(_min_probability(instance, prof, kappa), cal.probability)  # float noise guard
-    return ClosedInterval(lower, cal.probability), cal
+def _prob_bounds(instance: DiscreteInstance, prof: GapProfile, kappas, fills=None):
+    """L and U at every kappa of ``kappas``, from one profile and one
+    sorted fill per regime that some kappa falls in.  Each entry depends
+    only on its own kappa, so a batch equals its points bit for bit.
+    ``fills``, a dict, keeps the sorted fills for :func:`_calibrate`."""
+    kappas = _clip_kappas(instance, kappas)
+    upper = _bound(instance, prof, "sup", kappas, fills)
+    lower = np.minimum(_bound(instance, prof, "inf", kappas, fills), upper)   # float noise guard
+    return lower, upper
+
+
+def _pin_at(instance: DiscreteInstance, prof: GapProfile, kappa: float):
+    """[L(kappa), U(kappa)] and the calibration attaining U, both read from
+    one sorted fill per regime."""
+    fills: dict = {}
+    (lower,), (upper,) = _prob_bounds(instance, prof, [kappa], fills)
+    cal = _calibrate(instance, prof, _clip_kappa(instance, kappa), fills)
+    return ClosedInterval(float(lower), float(upper)), cal
+
+
+def _clip_kappas(instance: DiscreteInstance, kappas) -> np.ndarray:
+    """:func:`_clip_kappa` over a sequence; the first kappa outside the
+    mean range raises its error."""
+    values = np.asarray(kappas, dtype=float)
+    box = aumann_interval(instance)
+    tol = 1e-9 * np.maximum(1.0, np.abs(values))
+    inside = (box.lo - tol <= values) & (values <= box.hi + tol)
+    if not inside.all():
+        _clip_kappa(instance, kappas[int(np.argmin(inside))])
+    return np.minimum(np.maximum(values, box.lo), box.hi)
 
 
 # ---------------------------------------------------------------------------

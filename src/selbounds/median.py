@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleMedian, InputError, MOutsideMedianSpan
 from .laws import Law
-from .model import ClosedInterval, DiscreteInstance, marginal_law
+from .model import ClosedInterval, DiscreteInstance, _marginal
 from .rearrange import _greedy_fill
 from .benchmarks import Selection
 
@@ -129,7 +129,11 @@ def median_restricted_mean_interval(instance: DiscreteInstance, m: float) -> Clo
     (both outer masses exactly 1/2), the range is the whole unrestricted
     mean interval.
     """
-    part = partition(instance, m)
+    return _median_interval(instance, partition(instance, m))
+
+
+def _median_interval(instance: DiscreteInstance, part: MedianPartition) -> ClosedInterval:
+    """:func:`median_restricted_mean_interval` on a built partition."""
     _require_feasible(part)
     return _pivot_interval(instance, part, 0.5, 0.5)
 
@@ -199,8 +203,8 @@ def marginal_cost_terms(instance: DiscreteInstance, m: float) -> CostTerms:
     s_upper integrates (1/2 - F_upper) from m to the upper-marginal median.
     Valid when m lies between the two marginal medians.
     """
-    low = marginal_law(instance, "lower")
-    high = marginal_law(instance, "upper")
+    low = _marginal(instance, "lower")
+    high = _marginal(instance, "upper")
     m_l = low.quantile(0.5)
     m_u = high.quantile(0.5)
     m = _check_span(m, m_l, m_u)

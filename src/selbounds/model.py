@@ -75,10 +75,11 @@ class DiscreteInstance:
     """Finite weighted list of interval scenarios.
 
     Arrays are stored read-only; every operation on instances is pure, so
-    instances can be shared freely across threads.
+    instances can be shared freely across threads.  The marginal laws are
+    built on first use and kept (see :func:`_marginal`).
     """
 
-    __slots__ = ("lower", "upper", "weight")
+    __slots__ = ("lower", "upper", "weight", "_laws")
 
     def __init__(self, lower, upper, weight):
         lower = np.array(lower, dtype=float)
@@ -109,6 +110,7 @@ class DiscreteInstance:
         self.lower = lower
         self.upper = upper
         self.weight = weight
+        self._laws = {}
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[float]]) -> "DiscreteInstance":
@@ -224,7 +226,9 @@ class StepDistribution:
         """Left-continuous generalized inverse at ``alpha`` in (0,1)."""
         if not (0.0 < alpha < 1.0):
             raise AlphaOutOfRange(f"quantile level must be in (0,1), got {alpha}")
-        idx = int(np.searchsorted(self._cum, alpha, side="left"))
+        # within MASS_ATOL: two orders of summing the same weights may put
+        # a cumulative mass of exactly alpha on either side of it
+        idx = int(np.searchsorted(self._cum, alpha - MASS_ATOL, side="left"))
         idx = min(idx, self.n - 1)
         return float(self.values[idx])
 
@@ -251,6 +255,15 @@ def marginal_law(instance: DiscreteInstance, side: str) -> StepDistribution:
         raise InputError(f"side must be 'lower' or 'upper', got {side!r}")
     values = instance.lower if side == "lower" else instance.upper
     return StepDistribution.from_samples(values, instance.weight)
+
+
+def _marginal(instance: DiscreteInstance, side: str) -> StepDistribution:
+    """:func:`marginal_law`, built once per instance and side: the instance
+    is immutable, so every query of one report shares each sort."""
+    law = instance._laws.get(side)
+    if law is None:
+        law = instance._laws[side] = marginal_law(instance, side)
+    return law
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ quantile function,
 
 On finite instances the infimum is attained exactly by taking whole atoms
 in ascending X order and splitting the boundary atom fractionally.  One
-greedy fill kernel does this.  Every pivot-restricted mean bound and its
-attaining selection reach it through one call site, the pivot fill in
-:mod:`selbounds.median`; :func:`sorted_partial_sum` (the fill's value) and
-:func:`least_x_set` (also the chosen subset) are thin public wrappers.
+greedy fill kernel does this, in two steps: :func:`_sort_fill` sorts once
+and :func:`_fill_at` fills at any number of masses, so the mean-pinned
+probability bounds of :mod:`selbounds.events` answer a whole curve of
+mean pins from one sort per regime.  Every pivot-restricted mean bound and
+its attaining selection reach the kernel through one call site, the pivot
+fill in :mod:`selbounds.median`; :func:`sorted_partial_sum` (the fill's
+value) and :func:`least_x_set` (also the chosen subset) are thin public
+wrappers.
 Quantile-step integration (:func:`conditional_quantile_integral`) is
 implemented independently of that kernel and must agree with it to machine
 precision.
@@ -71,6 +75,24 @@ class ConditionalLaw:
         return StepDistribution.from_samples(self.values, self.member_weights / self.p0)
 
 
+def _sort_fill(values, weights):
+    """Sort once: the fill order of ``values`` (ascending, ties by
+    position), the weights along it and their running sum, which
+    :func:`_fill_at` reads at any number of masses."""
+    order = np.lexsort((np.arange(values.size), values))
+    w = weights[order]
+    return order, w, np.cumsum(w)
+
+
+def _fill_at(cum, masses):
+    """Fill at these masses, each in [0, cum[-1]], along a nonempty order
+    with running weight ``cum``: per mass, the count ``k`` of leading
+    positions taken whole and the boundary mass ``frac`` that position
+    ``k`` contributes (the last position takes any rounding excess)."""
+    k = np.minimum(np.searchsorted(cum, masses, side="left"), cum.size - 1)
+    return k, np.maximum(masses - np.where(k > 0, cum[k - 1], 0.0), 0.0)
+
+
 def _greedy_fill(values, weights, mass: float):
     """Fill ascending values (ties by position) up to ``mass``.
 
@@ -84,14 +106,12 @@ def _greedy_fill(values, weights, mass: float):
     if mass < -_ATOL or mass > total + max(_ATOL, 1e-9 * total):
         raise MassOutOfRange(f"mass {mass} outside [0, {total}]")
     mass = min(max(mass, 0.0), total)
-    order = np.lexsort((np.arange(values.size), values))
+    order, w, cum = _sort_fill(values, weights)
     if mass == 0.0:
         return order, 0, 0.0, 0.0
-    w = weights[order]
+    k, frac = _fill_at(cum, mass)
+    k, frac = int(k), float(frac)
     v = values[order]
-    cum = np.cumsum(w)
-    k = min(int(np.searchsorted(cum, mass, side="left")), w.size - 1)
-    frac = max(mass - (cum[k - 1] if k > 0 else 0.0), 0.0)
     return order, k, frac, float(np.dot(v[:k], w[:k])) + float(v[k]) * frac
 
 

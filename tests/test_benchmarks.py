@@ -124,6 +124,27 @@ class TestQuantileAttainability:
         with pytest.raises(AlphaOutOfRange):
             quantile_attainability_range(constant_instance(), 1.0)
 
+    def test_marginal_masses_rounding_apart(self):
+        # the lower law sums the weights below -1.25 to 0.49999999999999994
+        # and the upper law to 0.5: the median range must not invert
+        from selbounds import (
+            DiscreteInstance,
+            QuantileRestriction,
+            mean_restricted_quantile_range,
+            quantile_restricted_mean_interval,
+        )
+
+        inst = DiscreteInstance.from_rows(SIX_ROWS)
+        assert median_benchmark(inst).as_tuple() == (-1.25, 0.25)
+        iv = quantile_restricted_mean_interval(inst, QuantileRestriction(0.5, -0.5))
+        assert aumann_interval(inst).contains_interval(iv)
+        box = aumann_interval(inst)
+        rng = mean_restricted_quantile_range(inst, 0.5, box.lo + 0.7 * box.width)
+        assert median_benchmark(inst).contains_interval(rng)
+
+
+SIX_ROWS = [(-1.5, -0.5, 1), (0.5, 1.75, 1), (1.5, 1.75, 3), (-1.25, 0.25, 2), (1, 2, 3), (-2, -1.25, 4)]
+
 
 class TestQuantileSelection:
     def test_constant_split(self):

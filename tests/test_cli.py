@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selbounds import EmptyFile, InvertedInterval, ParseError, TargetSet
+from selbounds import DiscreteInstance, EmptyFile, InvertedInterval, ParseError, TargetSet
 from selbounds.cli import (
     AnalysisRequest,
     _parse_bulk,
@@ -208,20 +208,61 @@ class TestRun:
         check = report["oracle_check"]
         assert check["ran"] and check["max_delta"] <= 1e-9
 
-    def test_median_report_builds_each_marginal_law_twice(self, monkeypatch):
-        # once for the median benchmark, once for the cost terms
-        import selbounds.benchmarks
-        import selbounds.cli
-        import selbounds.median
-        from selbounds.model import marginal_law
+    @staticmethod
+    def thousand_row_request(**kw):
+        rng = np.random.default_rng(17)
+        lower = rng.uniform(0.0, 4.0, 1000)
+        rows = zip(lower, lower + rng.exponential(1.0, 1000), rng.uniform(0.1, 1.0, 1000))
+        text = "lower,upper,weight\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in rows)
+        return AnalysisRequest(csv_text=text, **kw)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"restriction": ("median", 2.4)},
+            {"restriction": ("quantile", 0.25, 1.6)},
+            {"attainability_alpha": 0.25},
+        ],
+    )
+    def test_report_builds_each_marginal_law_once(self, monkeypatch, extra):
+        # the median benchmark, the --alpha range, the quantile restriction
+        # and the cost terms all read the laws kept on the instance
+        import selbounds.model as model
 
         calls = []
-        counted = lambda instance, side: calls.append(side) or marginal_law(instance, side)
-        for module in (selbounds.benchmarks, selbounds.cli, selbounds.median):
-            monkeypatch.setattr(module, "marginal_law", counted)
+        real = model.marginal_law
+        monkeypatch.setattr(model, "marginal_law", lambda inst, side: calls.append(side) or real(inst, side))
+        report = run(self.thousand_row_request(**extra))
+        assert report["feasibility"]["status"] == "ok"
+        assert sorted(calls) == ["lower", "upper"]
+
+    def test_median_report_builds_each_marginal_law_once(self, monkeypatch):
+        # once for the median benchmark, and the cost terms read the same laws
+        import selbounds.model as model
+
+        calls = []
+        real = model.marginal_law
+        monkeypatch.setattr(model, "marginal_law", lambda inst, side: calls.append(side) or real(inst, side))
         report = run(self.two_state_request(restriction=("median", -1.0)))
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert "marginal_cost_terms" in report["restricted"]
+
+    def test_median_report_partitions_once(self, monkeypatch):
+        import selbounds.cli as cli
+        import selbounds.median as median
+
+        calls = []
+        real = median.partition
+        counted = lambda inst, m: calls.append(m) or real(inst, m)
+        for module in (cli, median):
+            monkeypatch.setattr(module, "partition", counted)
+        report = run(self.thousand_row_request(restriction=("median", 2.4)))
+        assert "median_mean" in report["restricted"]
+        assert calls == [2.4]
+        calls.clear()
+        report = run(self.thousand_row_request(restriction=("median", 0.5)))
+        assert report["feasibility"]["status"] == "infeasible"
+        assert calls == [0.5]
 
     def test_mean_report_builds_one_gap_profile_and_calibrates_once(self, monkeypatch):
         # the probability benchmark, both bounds, the calibration and the
@@ -291,6 +332,18 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert payload["benchmark"]["mean"] == {"lo": 0.0, "hi": 1.0, "method": "closed-form"}
+
+    def test_bounds_when_marginal_masses_round_apart(self, tmp_path, capsys):
+        # the two marginal laws sum the weights below -1.25 in different
+        # orders, to 0.49999999999999994 and 0.5
+        p = tmp_path / "six.csv"
+        p.write_text(
+            "lower,upper,weight\n-1.5,-0.5,1\n0.5,1.75,1\n1.5,1.75,3\n"
+            "-1.25,0.25,2\n1,2,3\n-2,-1.25,4\n"
+        )
+        assert main(["bounds", "--input", str(p)]) == 0
+        median = json.loads(capsys.readouterr().out)["benchmark"]["median"]
+        assert (median["lo"], median["hi"]) == (-1.25, 0.25)
 
     def test_infeasible_exit_2(self, tmp_path, capsys):
         p = tmp_path / "a.csv"
@@ -428,6 +481,29 @@ class TestCurveExport:
         ls = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(us, 2) <= 1e-8)   # U concave along the grid
         assert np.all(np.diff(ls, 2) >= -1e-8)  # L convex
+
+    def test_mean_pin_curve_matches_point_bounds(self, tmp_path):
+        # every row of a 201-point curve at n = 2000, not a sample of them
+        from selbounds import aumann_interval, mean_restricted_prob_bounds
+        from selbounds.cli import BOUND_GRID, export_curves
+
+        rng = np.random.default_rng(2000)
+        lower = rng.uniform(0.0, 4.0, 2000)
+        rows = zip(lower, lower + rng.exponential(1.0, 2000), rng.uniform(0.1, 1.0, 2000))
+        inst = DiscreteInstance.from_rows(rows)
+        target = TargetSet.from_pairs([[1, 2], [3, 3.5]])
+        request = AnalysisRequest(restriction=("mean", 2.0), target=target)
+        export_curves(request, inst, tmp_path / "pin")
+        table = np.loadtxt(tmp_path / "pin_bounds.tsv", delimiter="\t", ndmin=2)
+        box = aumann_interval(inst)
+        kappas = np.linspace(box.lo, box.hi, BOUND_GRID)
+        assert table.shape == (BOUND_GRID, 3)
+        assert np.allclose(table[:, 0], kappas, rtol=6e-12, atol=0.0)   # 12 digits
+        # the file holds 12 significant digits of probabilities in [0, 1]
+        for row, kappa in zip(table, kappas):
+            iv = mean_restricted_prob_bounds(inst, target, float(kappa))
+            assert abs(row[1] - iv.lo) <= 1e-12 and abs(row[2] - iv.hi) <= 1e-12
+        assert len(np.unique(table[:, 1])) > 20 and len(np.unique(table[:, 2])) > 20
 
     def test_mean_pin_export_builds_one_gap_profile(self, tmp_path, monkeypatch):
         import selbounds.cli as cli

@@ -188,6 +188,36 @@ class TestMeanRestrictedBounds:
             assert hi_iv.lo == pytest.approx(p_hi, abs=1e-9)
             assert hi_iv.hi == pytest.approx(p_hi, abs=1e-9)
 
+    def test_curve_sorts_each_regime_once(self, tmp_path, monkeypatch):
+        # a 201-point curve across all four regimes: one gap sort for each
+        import selbounds.cli as cli
+        import selbounds.events as events
+
+        sorts = []
+        real = events._sort_fill
+        monkeypatch.setattr(events, "_sort_fill", lambda *a: sorts.append(1) or real(*a))
+        inst = random_instance(np.random.default_rng(5), n=400)
+        request = cli.AnalysisRequest(restriction=("mean", 0.0), target=TargetSet.from_pairs([[-1, 0], [1, 1.5]]))
+        cli.export_curves(request, inst, tmp_path / "pin")
+        assert len(sorts) == 4
+        sorts.clear()
+        box = aumann_interval(inst)
+        mean_restricted_prob_bounds(inst, request.target, box.lo + 0.05 * box.width)
+        assert len(sorts) == 2   # a batch of one sorts its U and its L regime
+
+    def test_zero_cost_boundary_raises_no_warning(self):
+        # scenario 0 meets the target at its upper endpoint: zero gap, zero
+        # cost, and at kappa = E upper it is the fill's first position
+        inst = DiscreteInstance.from_rows([(0.0, 1.0, 0.5), (0.5, 2.0, 0.5)])
+        target = TargetSet.from_pairs([[1.0, 1.5]])
+        assert gap_profile(inst, target).delta_plus[0] == 0.0
+        box = aumann_interval(inst)
+        for kappa in np.linspace(box.lo, box.hi, 201):
+            iv = mean_restricted_prob_bounds(inst, target, float(kappa))
+            assert 0.0 <= iv.lo <= iv.hi <= 1.0
+        # y0 -> 1 from below avoids A, so L is an unattained 0
+        assert mean_restricted_prob_bounds(inst, target, box.hi).as_tuple() == (0.0, 0.5)
+
     def test_oracle_and_sandwich_on_randoms(self):
         rng = np.random.default_rng(97)
         for _ in range(30):

@@ -4,16 +4,22 @@ The oracles stop at a dozen scenarios; these relations do not.  Moving the
 data by y -> s (y + t) must move a mean or quantile interval the same way,
 reflecting y -> -y must mirror it, and reordering or splitting scenarios
 must leave it alone.  Each check is gated at 1e-10 of the interval's width.
+A batch of mean pins must answer each pin exactly as a batch of one does.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbounds import (
     DiscreteInstance,
     MomentRestriction,
     QuantileRestriction,
+    TargetSet,
     aumann_interval,
+    calibrate_mean,
+    mean_restricted_prob_bounds,
     mean_restricted_quantile_range,
     median_benchmark,
     median_restricted_mean_interval,
@@ -21,8 +27,10 @@ from selbounds import (
     quantile_attainability_range,
     quantile_restricted_mean_interval,
 )
+from selbounds.events import _prob_bounds, _span, gap_profile
+from selbounds.rearrange import _greedy_fill
 
-from helpers import random_instance
+from helpers import random_instance, random_target
 
 GATE = 1e-10
 SIZES = [50, 500, 2000, 10_000]
@@ -130,3 +138,81 @@ def test_moment_scaling_reflection_reordering(n):
         shuffled = inst.reordered(rng.permutation(n))
         got = moment_restricted_mean_interval(shuffled, MomentRestriction(r, mu))
         _assert_at(got, ref.lo, ref.hi, ref.width)
+
+
+# ---------------------------------------------------------------------------
+# batch = point for the mean-pinned probability bounds
+
+
+def _engaged_weight(gaps, w, need, descending=False):
+    """Engaged weight of one greedy fill at one mean shift: the point
+    formula the batch replaced, kept here as its reference."""
+    total = float(np.dot(gaps, w))
+    cost = gaps * w
+    mass = min(need, total) if need > 1e-12 else 0.0
+    order, k, frac, _ = _greedy_fill(-gaps if descending else gaps, cost, mass)
+    engaged = np.where(gaps == 0.0, w, 0.0)
+    engaged[order[:k]] = w[order[:k]]
+    if mass > 0.0:
+        engaged[order[k]] = w[order[k]] * min(frac / cost[order[k]], 1.0)
+    return float(engaged.sum())
+
+
+def _reference_bounds(inst, prof, kappa):
+    """[L, U] at one clipped kappa, one point fill per bound."""
+    w, hit = inst.weight, prof.hit
+    k_lo, k_hi = (float(np.dot(w, v)) for v in _span(inst, prof, "sup"))
+    if k_lo - 1e-12 <= kappa <= k_hi + 1e-12:
+        upper = float(w[hit].sum())
+    elif kappa > k_hi:
+        upper = _engaged_weight(prof.delta_plus[hit], w[hit], inst.mean_upper() - kappa)
+    else:
+        upper = _engaged_weight(prof.delta_minus[hit], w[hit], kappa - inst.mean_lower())
+    partial = hit & ~prof.contain
+    j_lo, j_hi = (float(np.dot(w, v)) for v in _span(inst, prof, "inf"))
+    lower = float(w[prof.contain].sum())
+    if not (j_lo - 1e-12 <= kappa <= j_hi + 1e-12):
+        if kappa < j_lo:
+            gaps, need = np.maximum(prof.out_low - prof.a_minus, 0.0), j_lo - kappa
+        else:
+            gaps, need = np.maximum(prof.a_plus - prof.out_high, 0.0), kappa - j_hi
+        pool = partial & (gaps > 0.0)
+        lower += _engaged_weight(gaps[pool], w[pool], need, descending=True)
+    return min(lower, upper), upper
+
+
+def _hypothesis_case(seed, n, grid):
+    """A random or 0.25-grid instance, a target and a kappa batch that
+    covers the mean range, every slack-span edge and random points."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        lower = 0.25 * rng.integers(0, 17, n)
+        upper = lower + 0.25 * rng.integers(0, 9, n)
+        inst = DiscreteInstance.from_rows(zip(lower, upper, rng.uniform(0.1, 1.0, n)))
+        target = random_target(rng, 0.0, 6.0) if rng.random() < 0.5 else TargetSet.from_pairs([[1, 2], [3, 3.5]])
+    else:
+        inst, target = random_instance(rng, n=n), random_target(rng)
+    prof = gap_profile(inst, target)
+    box = aumann_interval(inst)
+    edges = [float(np.dot(inst.weight, v)) for b in ("sup", "inf") for v in _span(inst, prof, b)]
+    kappas = np.concatenate([
+        np.linspace(box.lo, box.hi, 41),
+        box.lo + box.width * rng.random(8),
+        np.clip([e + d for e in edges for d in (-1e-9, 0.0, 1e-9)], box.lo, box.hi),
+    ])
+    return inst, target, prof, kappas
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_prob_bounds_batch_equals_point(seed, n, grid):
+    inst, target, prof, kappas = _hypothesis_case(seed, n, grid)
+    lower, upper = _prob_bounds(inst, prof, kappas)
+    for i, kappa in enumerate(kappas):
+        (lo,), (hi,) = _prob_bounds(inst, prof, [kappa])
+        assert (lower[i], upper[i]) == (lo, hi)   # bit for bit
+        assert mean_restricted_prob_bounds(inst, target, float(kappa)).as_tuple() == (lo, hi)
+        ref_lo, ref_hi = _reference_bounds(inst, prof, float(kappa))
+        assert abs(lo - ref_lo) <= 1e-12 and abs(hi - ref_hi) <= 1e-12
+        if i % 7 == 0:
+            assert calibrate_mean(inst, target, float(kappa)).probability == hi

@@ -103,6 +103,15 @@ class TestQuantile:
         med = marginal_law(inst, "lower").quantile(0.5)
         assert med == pytest.approx(1.386, abs=1e-3)
 
+    def test_cumulative_mass_within_tolerance_of_alpha(self):
+        # 0.1 + 0.35 + 0.05 sums to 0.49999999999999994 and 0.05 + 0.1 +
+        # 0.35 to 0.5; either way the mass at or below the third atom is 1/2
+        for masses in ([0.1, 0.35, 0.05, 0.5], [0.05, 0.1, 0.35, 0.5]):
+            dist = StepDistribution([1.0, 2.0, 3.0, 4.0], masses)
+            assert dist.quantile(0.5) == 3.0
+        dist = StepDistribution([1.0, 2.0], [0.5 - 2e-12, 0.5 + 2e-12])
+        assert dist.quantile(0.5) == 2.0   # beyond the tolerance the next atom
+
     def test_alpha_out_of_range(self):
         dist = StepDistribution([1.0], [1.0])
         for bad in (0.0, 1.0, -0.2, 1.3):
