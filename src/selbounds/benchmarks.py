@@ -44,12 +44,12 @@ class Selection:
         w = np.asarray(self.subweight, dtype=float)
         if not (s.shape == v.shape == w.shape) or s.ndim != 1:
             raise InputError("selection arrays must be equal-length 1-d")
-        if np.any(w < -_ATOL):
-            raise InputError("subweights must be nonnegative")
-        keep = w > 0.0
-        object.__setattr__(self, "scenario", s[keep])
-        object.__setattr__(self, "value", v[keep])
-        object.__setattr__(self, "subweight", w[keep])
+        keep = _kept_rows(w)
+        if keep is not None:
+            s, v, w = s[keep], v[keep], w[keep]
+        object.__setattr__(self, "scenario", s)
+        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "subweight", w)
 
     @classmethod
     def from_cells(cls, weight, cells, rest) -> "Selection":
@@ -60,16 +60,9 @@ class Selection:
         values ``rest`` on whatever weight the other cells leave.  Rows of
         zero weight are dropped.
         """
-        values = np.empty((len(cells) + 1, weight.size))
-        subweights = np.empty_like(values)
-        left = weight
-        for row, (v, sw) in enumerate(cells):
-            values[row] = v
-            subweights[row] = sw
-            left = left - sw
-        values[-1] = rest
-        subweights[-1] = left
-        return cls(np.arange(values.size) % weight.size, values.ravel(), subweights.ravel())
+        scenario = np.empty((len(cells) + 1, weight.size), dtype=int)
+        scenario[:] = np.arange(weight.size)
+        return cls(scenario.ravel(), *_cell_rows(weight, cells, rest))
 
     def mean(self) -> float:
         return float(np.dot(self.value, self.subweight))
@@ -89,6 +82,39 @@ class Selection:
         np.add.at(sums, self.scenario, self.subweight)
         if np.max(np.abs(sums - instance.weight)) > max(_ATOL, tol * 1e-3):
             raise SelectionMismatch("per-scenario subweights do not match weights")
+
+
+def _kept_rows(subweight):
+    """The mask of a selection's rows of positive weight, or None when that
+    is every row; subweights below -1e-12 are an error."""
+    if (subweight < -_ATOL).any():
+        raise InputError("subweights must be nonnegative")
+    keep = subweight > 0.0
+    return None if np.count_nonzero(keep) == keep.size else keep
+
+
+def _cell_rows(weight, cells, rest):
+    """The values and subweights of :meth:`Selection.from_cells`, one row
+    per cell and scenario, the rest last, zero rows still in; when none
+    is dropped these are the selection's own arrays."""
+    values = np.empty((len(cells) + 1, weight.size))
+    subweights = np.empty_like(values)
+    subweights[-1] = weight
+    for row, (v, sw) in enumerate(cells):
+        values[row], subweights[row] = v, sw
+        subweights[-1] -= sw
+    values[-1] = rest
+    return values.ravel(), subweights.ravel()
+
+
+def _cells_mean(weight, cells, rest) -> float:
+    """``Selection.from_cells(weight, cells, rest).mean()``, bit for bit,
+    without building the selection's scenario column."""
+    value, subweight = _cell_rows(weight, cells, rest)
+    keep = _kept_rows(subweight)
+    if keep is not None:
+        value, subweight = value[keep], subweight[keep]
+    return float(np.dot(value, subweight))
 
 
 def aumann_interval(instance: DiscreteInstance) -> ClosedInterval:

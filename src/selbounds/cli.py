@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
+import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,21 +103,34 @@ BOUND_GRID = 201     # points per bound curve: each one recomputes an interval
 
 def load_csv(path) -> DiscreteInstance:
     """Read scenarios from a CSV with header lower,upper[,weight]."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_csv(text)
+    return parse_csv(Path(path).read_bytes())
 
 
-def parse_csv(text: str) -> DiscreteInstance:
-    """Scenarios from CSV text; blank and ``#`` lines are skipped, and
-    errors name the line as numbered in the text.
+def parse_csv(data: str | bytes) -> DiscreteInstance:
+    """Scenarios from CSV text or a CSV file's bytes; blank and ``#`` lines
+    are skipped, and errors name the line as numbered in the text.
 
-    A file whose first line is the header and whose data lines hold only
-    numbers is read in one bulk numpy pass; every other file goes to the
-    line parser, which alone raises parse errors.
+    ASCII input whose first line is the header and whose data lines hold
+    only numbers is read in one bulk numpy pass over its bytes; every other
+    input is decoded as UTF-8 and goes to the line parser, which alone
+    raises parse errors.
     """
-    lines = text.splitlines()
-    instance = _parse_bulk(lines)
-    return instance if instance is not None else _parse_lines(lines)
+    if isinstance(data, str):
+        if not data.isascii():
+            return _parse_lines(data.splitlines())
+        data = data.encode("ascii")
+    instance = _parse_bulk(data)
+    return instance if instance is not None else _parse_lines(_decode(data).splitlines())
+
+
+def _decode(data: bytes) -> str:
+    """The UTF-8 text of CSV bytes; invalid UTF-8 is a parse error on its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the sentinel counts the partial line the bad byte sits on
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line=line) from exc
 
 
 def _csv_columns(header: str) -> int | None:
@@ -129,22 +143,37 @@ def _csv_columns(header: str) -> int | None:
     return len(names)
 
 
-def _parse_bulk(lines: list[str]) -> DiscreteInstance | None:
-    """The instance from one ``np.loadtxt`` pass, or None where that pass
-    could read the lines differently from :func:`_parse_lines`.
+# ASCII line boundaries of str.splitlines that numpy does not split at
+_OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# a byte of some line's content: past the header, none means no data line
+_CONTENT = re.compile(rb"[^\r\n]")
 
-    Both split the text at the same line boundaries and strip the same
-    whitespace around cells, and numpy skips empty lines as the line parser
-    does.  Everything else the line parser accepts or rejects on its own
-    makes ``loadtxt`` raise, or is caught below: a comment or whitespace-only
-    line, a ragged row, a cell ``float`` reads and numpy does not (``1_0``),
-    a header not on the first line, no data line, an inverted row.
+
+def _parse_bulk(data: bytes) -> DiscreteInstance | None:
+    """The instance from one ``np.loadtxt`` pass over the bytes, or None
+    where that pass could read them differently from :func:`_parse_lines`.
+
+    The pass takes only ASCII whose lines end in ``\\n`` or ``\\r\\n``, so
+    numpy and ``str.splitlines`` split it at the same places; both strip the
+    same whitespace around cells, and numpy skips empty lines as the line
+    parser does.  Everything else the line parser accepts or rejects on its
+    own makes ``loadtxt`` raise, or is caught below: a comment or
+    whitespace-only line, a ragged row, a cell ``float`` reads and numpy
+    does not (``1_0``), a header not on the first line, no data line, an
+    inverted row.
     """
-    ncols = _csv_columns(lines[0]) if lines else None
-    if ncols is None or not any(itertools.islice(lines, 1, None)):
+    if (
+        not data.isascii()
+        or any(br in data for br in _OTHER_BREAKS)
+        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+    ):
+        return None
+    end = data.find(b"\n")   # a file of one line has no data line
+    ncols = _csv_columns(data[:end].decode("ascii")) if end >= 0 else None
+    if ncols is None or not _CONTENT.search(data, end):
         return None   # no data line: loadtxt would warn and return nothing
     try:
-        cells = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
+        cells = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
     if cells.shape[1] != ncols or np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
@@ -222,11 +251,11 @@ class AnalysisRequest:
             return parse_csv(self.csv_text)
         return discretize(self.spec)
 
-    def _read_csv(self) -> str:
-        """The CSV file's text, hashing its bytes first so parsing does not hold them."""
+    def _read_csv(self) -> bytes:
+        """The CSV file's bytes, hashed as read: the report names the bytes it parsed."""
         payload = Path(self.csv_path).read_bytes()
         self._csv_sha256 = hashlib.sha256(payload).hexdigest()
-        return payload.decode("utf-8")
+        return payload
 
     def input_digest(self) -> str:
         if self.csv_path is not None:
@@ -329,16 +358,18 @@ def _run_restriction(request, instance, median_range, prof, restricted) -> None:
         kappa = request.restriction[1]
         if prof is None:
             raise InputError("mean restriction reporting needs --target")
-        iv, cal = _pin_at(instance, prof, kappa)
+        # the dual's scratch is freed before the calibration's selection
+        # rows are built, of which the report keeps only the mean
         env = _dual(instance, prof, kappa)
+        iv, lambda_star, selection_mean = _pin_at(instance, prof, kappa)
         restricted["probability"] = _interval(iv, "closed-form")
         restricted["probability_dual"] = {
             "lo": env.lower,
             "hi": env.upper,
             "method": "dual",
         }
-        restricted["lambda_star"] = cal.lambda_star
-        restricted["selection_mean"] = cal.selection.mean()
+        restricted["lambda_star"] = lambda_star
+        restricted["selection_mean"] = selection_mean
         # certificates: dual objective at the dual's multiplier minus the primal value
         restricted["duality_gap"] = {"lower": env.lower - iv.lo, "upper": env.upper - iv.hi}
     elif kind == "moment":
@@ -651,6 +682,8 @@ def main(argv=None) -> int:
     except InfeasibleRestriction as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except ParseError as exc:
+        return _fail(str(exc) if exc.line is None else f"line {exc.line}: {exc}")
     except SelBoundsError as exc:
         return _fail(str(exc))
     except OSError as exc:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, KappaInfeasible
 from .model import ClosedInterval, DiscreteInstance
-from .benchmarks import Selection, _clip_kappa, aumann_interval
+from .benchmarks import Selection, _cells_mean, _clip_kappa, aumann_interval
 from .rearrange import _fill_at, _sort_fill
 
 _ATOL = 1e-12
@@ -287,12 +287,16 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
     lambda_star is +-1 / gap of that scenario, 0 when slack, and +-inf at
     the mean extremes, where nothing moves and selections are endpoints.
     """
-    return _calibrate(instance, gap_profile(instance, target), _clip_kappa(instance, kappa))
+    prof = gap_profile(instance, target)
+    lam, cells, prob = _calibrate(instance, prof, _clip_kappa(instance, kappa))
+    return Calibration(lam, Selection.from_cells(*cells), prob)
 
 
-def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills=None) -> Calibration:
+def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills=None):
     """:func:`calibrate_mean` on a built profile and a clipped kappa, from
-    the fill that gives U, so its probability is U(kappa) exactly."""
+    the fill that gives U, so its probability is U(kappa) exactly.  Returns
+    lambda_star, the selection's arguments to :meth:`Selection.from_cells`
+    and the probability."""
     w = instance.weight
     lo_vals, hi_vals = _span(instance, prof, "sup")
     k_lo = float(np.dot(w, lo_vals))
@@ -301,8 +305,7 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills
     if k_lo - _ATOL <= kappa <= k_hi + _ATOL:
         span = k_hi - k_lo
         tau = 0.0 if span <= 0.0 else min(max((kappa - k_lo) / span, 0.0), 1.0)
-        sel = Selection.from_cells(w, [(hi_vals, w * tau)], lo_vals)
-        return Calibration(0.0, sel, float(w[prof.hit].sum()))
+        return 0.0, (w, [(hi_vals, w * tau)], lo_vals), float(w[prof.hit].sum())
 
     above = kappa > k_hi
     fill = _regime_fill(instance, prof, "sup", above, fills)
@@ -316,10 +319,8 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills
         gap = float((prof.delta_plus if above else prof.delta_minus)[edge])
         lam = math.inf if gap == 0.0 else 1.0 / gap
     if above:
-        sel = Selection.from_cells(w, [(prof.a_plus, engaged)], instance.upper)
-        return Calibration(lam, sel, float(prob))
-    sel = Selection.from_cells(w, [(prof.a_minus, engaged)], instance.lower)
-    return Calibration(-lam, sel, float(prob))
+        return lam, (w, [(prof.a_plus, engaged)], instance.upper), float(prob)
+    return -lam, (w, [(prof.a_minus, engaged)], instance.lower), float(prob)
 
 
 def mean_restricted_prob_bounds(
@@ -342,12 +343,13 @@ def _prob_bounds(instance: DiscreteInstance, prof: GapProfile, kappas, fills=Non
 
 
 def _pin_at(instance: DiscreteInstance, prof: GapProfile, kappa: float):
-    """[L(kappa), U(kappa)] and the calibration attaining U, both read from
-    one sorted fill per regime."""
+    """[L(kappa), U(kappa)], and lambda_star and the selection mean of the
+    calibration attaining U, all read from one sorted fill per regime; the
+    mean is read without building the selection's scenario column."""
     fills: dict = {}
     (lower,), (upper,) = _prob_bounds(instance, prof, [kappa], fills)
-    cal = _calibrate(instance, prof, _clip_kappa(instance, kappa), fills)
-    return ClosedInterval(float(lower), float(upper)), cal
+    lam, cells, _ = _calibrate(instance, prof, _clip_kappa(instance, kappa), fills)
+    return ClosedInterval(float(lower), float(upper)), lam, _cells_mean(*cells)
 
 
 def _clip_kappas(instance: DiscreteInstance, kappas) -> np.ndarray:

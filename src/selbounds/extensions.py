@@ -165,9 +165,9 @@ def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
     t = -1.0 / (r * t[t > 0.0] ** (r - 1.0))
     wide = hi > lo
     cuts = np.concatenate([t, (lo - hi)[wide] / (hi_r - lo_r)[wide]])
-    del t   # at most a few n-length arrays alive at once
-    cuts = cuts[np.isfinite(cuts) & (cuts < 0.0)]
-    cuts.sort()
+    del t, wide   # at most a few n-length arrays alive at once
+    cuts.sort()   # the finite negative cuts are one slice of the sorted ones, not a copy
+    cuts = cuts[np.searchsorted(cuts, -np.inf, "right"):np.searchsorted(cuts, 0.0)]
     last = cuts.size   # segment j runs from end(j - 1) to end(j)
     end = lambda i: -math.inf if i < 0 else (0.0 if i == last else float(cuts[i]))
 
@@ -175,8 +175,11 @@ def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
         """Masks of the scenarios whose optimizer at lam is the upper endpoint / sign*t."""
         x = sign * _stationary(lam, r)
         f_lo, f_hi = lo + lam * lo_r, hi + lam * hi_r
-        up = d * f_hi > d * f_lo
-        mid = (lo < x) & (x < hi) & (d * (x + lam * _power(x, r)) > d * np.where(up, f_hi, f_lo))
+        up = f_hi > f_lo if maximize else f_hi < f_lo
+        best = (np.maximum if maximize else np.minimum)(f_lo, f_hi, out=f_lo)
+        del f_hi
+        f_x = x + lam * _power(x, r)
+        mid = (lo < x) & (x < hi) & (f_x > best if maximize else f_x < best)
         return up & ~mid, mid
 
     @functools.cache
@@ -247,7 +250,8 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
         sides = []
         for maximize in (False, True):
             lam, x, theta, rest = _moment_optimum(w, lo, hi, r, mu, maximize)
-            x, rest = np.clip(s * x, lower, upper), np.clip(s * rest, lower, upper)
+            scaled = [np.clip(s * v, lower, upper) for v in ((x,) if rest is x else (x, rest))]
+            x, rest = scaled[0], scaled[-1]
             primal = theta * float(np.dot(w, x)) + (1.0 - theta) * float(np.dot(w, rest))
             if math.isfinite(lam):
                 dual = s * (float(np.dot(w, _scenario_envelope(lo, hi, r, lam, maximize))) - lam * mu)

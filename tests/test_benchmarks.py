@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from selbounds import (
     AlphaOutOfRange,
+    InputError,
     KappaInfeasible,
     MOutOfRange,
     Selection,
@@ -14,6 +17,8 @@ from selbounds import (
     quantile_selection,
     marginal_law,
 )
+
+from selbounds.benchmarks import _cells_mean
 
 from helpers import constant_instance, random_instance, two_state_instance
 
@@ -223,3 +228,66 @@ class TestSelectionStats:
             vals = inst.lower + frac * (inst.upper - inst.lower)
             sel = Selection(np.arange(inst.n), vals, inst.weight.copy())
             assert box.contains(sel.mean(), tol=1e-10)
+
+
+def _dense_cells(weight, cells, rest):
+    """The rows of ``Selection.from_cells`` as a (k+1) x n block with a
+    running rest, an ``arange % n`` scenario column and a filtered copy
+    built them: the reference for their order and bits."""
+    n = weight.size
+    values = np.empty((len(cells) + 1, n))
+    subweights = np.empty_like(values)
+    left = weight
+    for row, (v, sw) in enumerate(cells):
+        values[row], subweights[row] = v, sw
+        left = left - sw
+    values[-1], subweights[-1] = rest, left
+    keep = subweights.ravel() > 0.0
+    return np.arange(values.size)[keep] % n, values.ravel()[keep], subweights.ravel()[keep]
+
+
+class TestSelectionCells:
+    def test_from_cells_rows_match_the_dense_block(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            weight = rng.uniform(0.1, 1.0, n)
+            cells = []
+            for _ in range(int(rng.integers(0, 3))):
+                # zero shares drop rows, and two halves empty the rest's row
+                share = rng.choice([0.0, 0.25, 0.5], n)
+                value = float(rng.normal()) if rng.random() < 0.3 else rng.normal(size=n)
+                cells.append((value, weight * share))
+            rest = rng.normal(size=n)
+            sel = Selection.from_cells(weight, cells, rest)
+            scenario, value, subweight = _dense_cells(weight, cells, rest)
+            assert np.array_equal(sel.scenario, scenario)
+            assert sel.value.tobytes() == value.tobytes()
+            assert sel.subweight.tobytes() == subweight.tobytes()
+            assert _cells_mean(weight, cells, rest) == sel.mean()
+
+    def test_positive_rows_are_kept_without_copies(self):
+        s, v, w = np.arange(3), np.array([0.0, 1.0, 2.0]), np.array([0.2, 0.3, 0.5])
+        sel = Selection(s, v, w)
+        assert sel.scenario is s and sel.value is v and sel.subweight is w
+        sel = Selection(s, v, np.array([0.2, 0.0, 0.8]))
+        assert sel.scenario.tolist() == [0, 2] and sel.value.tolist() == [0.0, 2.0]
+        with pytest.raises(InputError):
+            Selection(s, v, np.array([0.2, -0.1, 0.9]))
+
+    def test_from_cells_working_set(self):
+        # one cell at n = 200k: the selection's three 2n-row columns are
+        # 9.6 MB; an arange % n column and filtered copies of all three
+        # made the peak 20.2 MB
+        n = 200_000
+        weight = np.full(n, 1.0 / n)
+        cell = (np.linspace(0.0, 1.0, n), weight * 0.25)
+        rest = np.zeros(n)
+        tracemalloc.start()
+        try:
+            sel = Selection.from_cells(weight, [cell], rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.value.size == 2 * n
+        assert peak <= 12 * 2**20

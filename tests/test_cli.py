@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,10 @@ class TestBulkParseParity:
     @given(csv_texts(comments=False))
     @settings(max_examples=150, deadline=None)
     def test_well_formed_files_take_the_bulk_path(self, text):
-        assert _parse_bulk(text.splitlines()) is not None
-        assert _outcome(parse_csv, text) == _outcome(_line_parse, text)
+        assert _parse_bulk(text.encode()) is not None
+        want = _outcome(_line_parse, text)
+        assert _outcome(parse_csv, text) == want
+        assert _outcome(parse_csv, text.encode()) == want
 
     @given(csv_texts())
     @settings(max_examples=150, deadline=None)
@@ -163,15 +166,69 @@ class TestBulkParseParity:
             cells[1] = " "
         lines[i] = ",".join(cells)
         bad = "\n".join(lines) + "\n"
-        assert _parse_bulk(bad.splitlines()) is None
+        assert _parse_bulk(bad.encode()) is None
         assert _outcome(parse_csv, bad) == _outcome(_line_parse, bad)
+
+    @given(
+        csv_texts(),
+        st.sampled_from(
+            ["\v", "\f", "\x1c", "\x85", "\u2028", "\r", "\r\r\n", "\n# naïve – ü\n"]
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_other_line_boundaries_read_as_the_line_parser_does(self, text, piece, data):
+        # str.splitlines breaks at each of these and numpy at none (a lone
+        # \r makes loadtxt raise), so the bulk pass must leave them alone
+        at = data.draw(st.integers(0, len(text)))
+        odd = text[:at] + piece + text[at:]
+        want = _outcome(_line_parse, odd)
+        assert _outcome(parse_csv, odd) == want
+        assert _outcome(parse_csv, odd.encode()) == want
+
+    @given(csv_texts())
+    @settings(max_examples=50, deadline=None)
+    def test_byte_order_mark_reads_as_the_line_parser_does(self, text):
+        odd = "\ufeff" + text
+        assert _parse_bulk(odd.encode()) is None
+        assert _outcome(parse_csv, odd.encode()) == _outcome(_line_parse, odd)
+
+    def test_invalid_utf8_is_a_parse_error_on_its_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"lower,upper\n0,1\n\xff,2\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert exc.value.line == 3
+        with pytest.raises(ParseError) as exc:
+            parse_csv(b"# caf\xc3\xa9\r\nlower,upper\r\n0,\xe9\n")
+        assert exc.value.line == 3
+        assert main(["bounds", "--input", str(p)]) == 1
+        assert capsys.readouterr().err == "error: line 3: invalid UTF-8 byte 0xff\n"
+
+    def test_ingest_working_set(self, tmp_path):
+        # the file's bytes, numpy's buffers and the instance: no decoded
+        # text and no list of lines (4.6 times the file with them)
+        rng = np.random.default_rng(3)
+        lower = rng.uniform(0.0, 4.0, 20_000)
+        upper = lower + rng.exponential(1.0, lower.size)
+        rows = zip(lower.tolist(), upper.tolist(), rng.uniform(0.1, 1.0, lower.size).tolist())
+        p = tmp_path / "big.csv"
+        p.write_text("lower,upper,weight\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+        tracemalloc.start()
+        try:
+            inst = AnalysisRequest(csv_path=str(p)).build_instance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.n == 20_000
+        assert peak <= 3 * p.stat().st_size
 
     @pytest.mark.parametrize(
         "text",
         ["lower,upper\n", "lower,upper,weight\n\n\n", "lower,upper\n   \n", "lower,upper", ""],
     )
     def test_header_only(self, text):
-        assert _parse_bulk(text.splitlines()) is None
+        assert _parse_bulk(text.encode()) is None
         with pytest.raises(EmptyFile):
             parse_csv(text)
 
@@ -344,6 +401,17 @@ class TestMainExitCodes:
         assert main(["bounds", "--input", str(p)]) == 0
         median = json.loads(capsys.readouterr().out)["benchmark"]["median"]
         assert (median["lo"], median["hi"]) == (-1.25, 0.25)
+
+    def test_parse_errors_name_the_line_once(self, tmp_path, capsys):
+        p = tmp_path / "a.csv"
+        for body, message in (
+            ("lower,upper\n0,1\n0,abc\n", "line 3: non-numeric cell in row: '0,abc'"),
+            ("# note\nlower,upper\n\n2,1\n", "line 4: lower=2.0 > upper=1.0"),
+            ("lower,upper\n", "CSV contains a header but no data rows"),
+        ):
+            p.write_text(body)
+            assert main(["bounds", "--input", str(p)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infeasible_exit_2(self, tmp_path, capsys):
         p = tmp_path / "a.csv"

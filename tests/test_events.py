@@ -16,6 +16,8 @@ from selbounds import (
     oracle,
 )
 
+from selbounds.events import _pin_at
+
 from helpers import constant_instance, random_instance, random_target, two_state_instance
 
 UNIT = constant_instance(0.0, 1.0)
@@ -162,6 +164,24 @@ class TestCalibrateMean:
             inside = [target.contains(float(v)) for v in cal.selection.value]
             in_mass = float(cal.selection.subweight[inside].sum())
             assert in_mass == pytest.approx(cal.probability, abs=1e-12)
+
+    def test_report_pin_reads_the_calibration_bit_for_bit(self):
+        # the report keeps lambda_star and the selection's mean without
+        # building the selection; both must be calibrate_mean's own bits
+        rng = np.random.default_rng(29)
+        for i in range(80):
+            if i % 2:
+                n = int(rng.integers(2, 9))
+                lower = rng.integers(-10, 8, n) * 0.25
+                rows = zip(lower, lower + rng.integers(0, 7, n) * 0.25, rng.uniform(0.1, 1.0, n))
+                inst, target = DiscreteInstance.from_rows(rows), TargetSet.from_pairs([[0.0, 0.5]])
+            else:
+                inst, target = random_instance(rng, n=int(rng.integers(1, 40))), random_target(rng)
+            box = aumann_interval(inst)
+            for kappa in (box.lo, box.hi, float(rng.uniform(box.lo, box.hi))):
+                cal = calibrate_mean(inst, target, kappa)
+                iv, lam, mean = _pin_at(inst, gap_profile(inst, target), kappa)
+                assert (lam, mean, iv.hi) == (cal.lambda_star, cal.selection.mean(), cal.probability)
 
 
 class TestMeanRestrictedBounds:

@@ -28,6 +28,7 @@ from selbounds import (
     quantile_restricted_mean_interval,
 )
 from selbounds.events import _prob_bounds, _span, gap_profile
+from selbounds.median import pivot_mean_interval
 from selbounds.rearrange import _greedy_fill
 
 from helpers import random_instance, random_target
@@ -216,3 +217,58 @@ def test_prob_bounds_batch_equals_point(seed, n, grid):
         assert abs(lo - ref_lo) <= 1e-12 and abs(hi - ref_hi) <= 1e-12
         if i % 7 == 0:
             assert calibrate_mean(inst, target, float(kappa)).probability == hi
+
+
+# ---------------------------------------------------------------------------
+# the relations on hypothesis-generated instances
+
+
+def _drawn_instance(seed, n, grid):
+    """A random instance, or one whose endpoints lie on a 0.25 grid, with
+    n scenarios and weights in [0.1, 1)."""
+    rng = np.random.default_rng(seed)
+    if not grid:
+        return random_instance(rng, n=n), rng
+    lower = 0.25 * rng.integers(0, 17, n)
+    upper = lower + 0.25 * rng.integers(0, 9, n)
+    return DiscreteInstance.from_rows(zip(lower, upper, rng.uniform(0.1, 1.0, n))), rng
+
+
+def _size(width, inst):
+    """``width``, or for a point interval (drawn instances make them) the
+    data's magnitude, so that a point is placed to GATE of the data."""
+    return width or float(max(np.abs(inst.lower).max(), np.abs(inst.upper).max()))
+
+
+# each pivot primal: (instance, pivot) -> interval, its admissible pivots,
+# and the mirror image of (instance, pivot) -> interval under y -> -y,
+# which swaps the mass needed below the pivot with the mass needed above
+PIVOTED = {
+    "median": (median_restricted_mean_interval, median_benchmark, median_restricted_mean_interval),
+    "quantile": (
+        PRIMALS["quantile"][0],
+        PRIMALS["quantile"][1],
+        lambda inst, q: pivot_mean_interval(inst, q, 1.0 - ALPHA, ALPHA),
+    ),
+}
+
+
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 300), st.booleans(), st.sampled_from(sorted(PIVOTED))
+)
+@settings(max_examples=60, deadline=None)
+def test_pivot_relations_on_drawn_instances(seed, n, grid, kind):
+    primal, band, mirrored = PIVOTED[kind]
+    inst, rng = _drawn_instance(seed, n, grid)
+    for x in _pivots(band(inst)):
+        ref = primal(inst, x)
+        for s in (1e-6, 1.0, 1e6):
+            for t in SHIFTS:
+                moved = _moved(inst, s, t)
+                got = primal(moved, s * (x + t))
+                _assert_at(got, s * (ref.lo + t), s * (ref.hi + t), _size(s * ref.width, moved))
+        width = _size(ref.width, inst)
+        _assert_at(mirrored(_reflected(inst), -x), -ref.hi, -ref.lo, width)
+        _assert_at(primal(inst.reordered(rng.permutation(n)), x), ref.lo, ref.hi, width)
+        split = inst.split_scenario(int(rng.integers(n)), float(rng.uniform(0.1, 0.9)))
+        _assert_at(primal(split, x), ref.lo, ref.hi, width)
