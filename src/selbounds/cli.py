@@ -48,7 +48,6 @@ from .model import (
     DiscreteInstance,
     _marginal,
     discretize,
-    normalize,
 )
 from .benchmarks import aumann_interval, median_benchmark, quantile_attainability_range
 from .median import (
@@ -178,8 +177,14 @@ def _parse_bulk(data: bytes) -> DiscreteInstance | None:
         return None
     if cells.shape[1] != ncols or np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
         return None
-    weight = cells[:, 2] if ncols == 3 else np.ones(cells.shape[0])
-    return normalize(DiscreteInstance(cells[:, 0], cells[:, 1], weight))
+    # one instance, its weights divided as normalize divides them: by the sum
+    # of a contiguous copy, which is what its total_mass would sum
+    weight = np.ascontiguousarray(cells[:, 2]) if ncols == 3 else np.ones(cells.shape[0])
+    total = float(weight.sum())
+    if total > 0.0:
+        with np.errstate(invalid="ignore"):   # inf / inf: the constructor rejects the nan
+            weight /= total
+    return DiscreteInstance(cells[:, 0], cells[:, 1], weight)
 
 
 def _parse_lines(lines: list[str]) -> DiscreteInstance:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError, KappaInfeasible
 from .model import ClosedInterval, DiscreteInstance
 from .benchmarks import Selection, _cells_mean, _clip_kappa, aumann_interval
-from .rearrange import _fill_at, _sort_fill
+from .rearrange import _fill_at, _fill_order, _sort_fill
 
 _ATOL = 1e-12
 
@@ -242,7 +242,7 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
     idx = np.flatnonzero(pool)
     g, w = gaps[idx], instance.weight[idx]
     cost = g * w
-    order, sorted_cost, cum_cost = _sort_fill(-g if bound == "inf" else g, cost)
+    order, _, sorted_cost, cum_cost = _sort_fill(-g if bound == "inf" else g, cost)
     weight = w[order]
     fill = _MeanFill(
         idx[order], weight, sorted_cost, cum_cost, np.cumsum(weight), float(np.dot(g, w)),
@@ -415,10 +415,10 @@ def _kink_argmin(w, left: float, right: float, neg_gaps, pos_gaps) -> float:
     keep = gaps > 0.0
     if not keep.any():
         return 0.0
-    g = gaps[keep]
-    order = np.argsort(-g, kind="stable")
-    slope = start + np.cumsum(w[keep][order] * g[order])
-    return side / float(g[order[min(int(np.searchsorted(slope, 0.0)), g.size - 1)]])
+    order, desc = _fill_order(-gaps[keep])
+    desc = -desc   # the gaps, largest first
+    slope = start + np.cumsum(w[keep][order] * desc)
+    return side / float(desc[min(int(np.searchsorted(slope, 0.0)), desc.size - 1)])
 
 
 @dataclass(frozen=True)

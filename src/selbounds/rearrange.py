@@ -10,6 +10,7 @@ quantile function,
 On finite instances the infimum is attained exactly by taking whole atoms
 in ascending X order and splitting the boundary atom fractionally.  One
 greedy fill kernel does this, in two steps: :func:`_sort_fill` sorts once
+(one quicksort, its ties put back in position order by :func:`_fill_order`)
 and :func:`_fill_at` fills at any number of masses, so the mean-pinned
 probability bounds of :mod:`selbounds.events` answer a whole curve of
 mean pins from one sort per regime.  Every pivot-restricted mean bound and
@@ -75,13 +76,38 @@ class ConditionalLaw:
         return StepDistribution.from_samples(self.values, self.member_weights / self.p0)
 
 
+def _fill_order(values):
+    """Ascending order of ``values``, ties by position, and the values
+    along it.
+
+    The order is the permutation ``np.lexsort((np.arange(n), values))``
+    gives, from one quicksort: only positions inside runs of equal sorted
+    values are sorted again, by position, so a pool without ties never
+    pays for a stable sort and a pool of many zero gaps pays only for its
+    ties.  ``values`` holds no NaN.
+    """
+    order = np.argsort(values)
+    v = values[order]
+    tie = v[1:] == v[:-1]
+    if tie.any():
+        again = np.concatenate(([False], tie))   # equal to the value before it
+        at = np.flatnonzero(again | np.concatenate((tie, [False])))
+        run = np.cumsum(~again[at]) * v.size     # each tied position's run, times n
+        key = run + order[at]
+        key.sort()
+        order[at] = key = key - run
+        v[at] = values[key]   # -0.0 and 0.0 tie but differ in bits
+    return order, v
+
+
 def _sort_fill(values, weights):
-    """Sort once: the fill order of ``values`` (ascending, ties by
-    position), the weights along it and their running sum, which
-    :func:`_fill_at` reads at any number of masses."""
-    order = np.lexsort((np.arange(values.size), values))
+    """Sort once: the fill order of ``values`` from :func:`_fill_order`
+    (ascending, ties by position), the values and weights along it, and
+    the weights' running sum, which :func:`_fill_at` reads at any number of
+    masses."""
+    order, v = _fill_order(values)
     w = weights[order]
-    return order, w, np.cumsum(w)
+    return order, v, w, np.cumsum(w)
 
 
 def _fill_at(cum, masses):
@@ -106,12 +132,11 @@ def _greedy_fill(values, weights, mass: float):
     if mass < -_ATOL or mass > total + max(_ATOL, 1e-9 * total):
         raise MassOutOfRange(f"mass {mass} outside [0, {total}]")
     mass = min(max(mass, 0.0), total)
-    order, w, cum = _sort_fill(values, weights)
+    order, v, w, cum = _sort_fill(values, weights)
     if mass == 0.0:
         return order, 0, 0.0, 0.0
     k, frac = _fill_at(cum, mass)
     k, frac = int(k), float(frac)
-    v = values[order]
     return order, k, frac, float(np.dot(v[:k], w[:k])) + float(v[k]) * frac
 
 

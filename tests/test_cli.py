@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selbounds import DiscreteInstance, EmptyFile, InvertedInterval, ParseError, TargetSet
+from selbounds import DiscreteInstance, EmptyFile, InvertedInterval, ParseError, TargetSet, normalize
 from selbounds.cli import (
     AnalysisRequest,
     _parse_bulk,
@@ -204,6 +204,20 @@ class TestBulkParseParity:
         assert exc.value.line == 3
         assert main(["bounds", "--input", str(p)]) == 1
         assert capsys.readouterr().err == "error: line 3: invalid UTF-8 byte 0xff\n"
+
+    @pytest.mark.parametrize("ncols", [2, 3])
+    def test_bulk_pass_builds_one_instance(self, monkeypatch, ncols):
+        rng = np.random.default_rng(ncols)
+        lower = rng.normal(size=5000)
+        cols = [lower, lower + rng.exponential(1.0, lower.size), rng.uniform(0.1, 1.0, lower.size)][:ncols]
+        text = ",".join(["lower", "upper", "weight"][:ncols]) + "\n"
+        text += "".join(",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in cols)))
+        builds, real_init = [], DiscreteInstance.__init__
+        monkeypatch.setattr(DiscreteInstance, "__init__", lambda *a: builds.append(1) or real_init(*a))
+        inst = parse_csv(text.encode())
+        assert len(builds) == 1
+        weight = cols[2] if ncols == 3 else np.ones(lower.size)
+        assert inst.weight.tobytes() == normalize(DiscreteInstance(*cols[:2], weight)).weight.tobytes()
 
     def test_ingest_working_set(self, tmp_path):
         # the file's bytes, numpy's buffers and the instance: no decoded

@@ -24,6 +24,7 @@ from selbounds import (
     median_benchmark,
     median_restricted_mean_interval,
     moment_restricted_mean_interval,
+    power_image_interval,
     quantile_attainability_range,
     quantile_restricted_mean_interval,
 )
@@ -272,3 +273,44 @@ def test_pivot_relations_on_drawn_instances(seed, n, grid, kind):
         _assert_at(primal(inst.reordered(rng.permutation(n)), x), ref.lo, ref.hi, width)
         split = inst.split_scenario(int(rng.integers(n)), float(rng.uniform(0.1, 0.9)))
         _assert_at(primal(split, x), ref.lo, ref.hi, width)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.booleans(), st.sampled_from([2.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_moment_relations_on_drawn_instances(seed, n, grid, r):
+    inst, rng = _drawn_instance(seed, n, grid)
+    if r == 2.0 and not grid:
+        inst = _moved(inst, 1.0, 2.0)   # r = 2 needs nonnegative data; random lowers exceed -2
+    image = power_image_interval(inst, r)
+    for f in (0.2, 0.5, 0.8):
+        mu = image.lo + f * image.width
+        ref = moment_restricted_mean_interval(inst, MomentRestriction(r, mu))
+        width = _size(ref.width, inst)
+        for s in (1e-6, 1e6):
+            moved = _moved(inst, s, 0.0)
+            got = moment_restricted_mean_interval(moved, MomentRestriction(r, s**r * mu))
+            _assert_at(got, s * ref.lo, s * ref.hi, s * width)
+        if r == 3.0:
+            got = moment_restricted_mean_interval(_reflected(inst), MomentRestriction(r, -mu))
+            _assert_at(got, -ref.hi, -ref.lo, width)
+        shuffled = inst.reordered(rng.permutation(n))
+        _assert_at(moment_restricted_mean_interval(shuffled, MomentRestriction(r, mu)), ref.lo, ref.hi, width)
+        split = inst.split_scenario(int(rng.integers(n)), float(rng.uniform(0.1, 0.9)))
+        _assert_at(moment_restricted_mean_interval(split, MomentRestriction(r, mu)), ref.lo, ref.hi, width)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_quantile_range_relations_on_drawn_instances(seed, n, grid):
+    inst, rng = _drawn_instance(seed, n, grid)
+    box = aumann_interval(inst)
+    for f in (0.3, 0.7):
+        kappa = box.lo + f * box.width
+        ref = mean_restricted_quantile_range(inst, ALPHA, kappa)
+        for s in (1e-6, 1.0, 1e6):
+            for t in SHIFTS:
+                moved = _moved(inst, s, t)
+                got = mean_restricted_quantile_range(moved, ALPHA, s * (kappa + t))
+                _assert_at(got, s * (ref.lo + t), s * (ref.hi + t), _size(s * ref.width, moved))
+        shuffled = inst.reordered(rng.permutation(n))
+        _assert_at(mean_restricted_quantile_range(shuffled, ALPHA, kappa), ref.lo, ref.hi, _size(ref.width, inst))

@@ -11,16 +11,67 @@ from selbounds import (
     StepDistribution,
     conditional_quantile_integral,
     least_x_set,
+    median_benchmark,
+    median_restricted_mean_interval,
     quantile_area,
     sorted_partial_sum,
 )
+from selbounds.median import partition
+from selbounds.rearrange import _fill_order
 
-from helpers import brute_force_least_mass
+from helpers import brute_force_least_mass, random_instance
 
 
 def three_atom_law():
     # members with X = 1, 2, 3 and weight 0.2 each (p0 = 0.6)
     return ConditionalLaw([0, 1, 2], [0.2, 0.2, 0.2], [1.0, 2.0, 3.0])
+
+
+def _drawn_values(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "grid":   # heavy ties
+        return rng.integers(-4, 5, n).astype(float)
+    if kind == "zeros":   # -0.0 and 0.0 compare equal but differ in bits
+        return rng.choice([-0.0, 0.0, 0.5], n)
+    return rng.normal(size=n)
+
+
+class TestFillOrder:
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 2000), st.sampled_from(["grid", "zeros", "continuous"])
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_lexsort_permutation(self, seed, n, kind):
+        values = _drawn_values(seed, n, kind)
+        order, along = _fill_order(values)
+        want = np.lexsort((np.arange(n), values))
+        assert np.array_equal(order, want)
+        assert along.tobytes() == values[want].tobytes()
+        # descending, as the event dual's kink search uses it
+        assert np.array_equal(_fill_order(-values)[0], np.argsort(-values, kind="stable"))
+
+    def test_tie_free_median_query_takes_no_stable_sort(self, monkeypatch):
+        sorts = []
+        real_lexsort, real_argsort = np.lexsort, np.argsort
+
+        def lexsort(keys, *args, **kw):
+            sorts.append("lexsort")
+            return real_lexsort(keys, *args, **kw)
+
+        def argsort(a, axis=-1, kind=None, **kw):
+            sorts.append(kind)
+            return real_argsort(a, axis, kind, **kw)
+
+        inst = random_instance(np.random.default_rng(5), n=5000, degenerate=0.0, tie=0.0)
+        m = float(np.mean(median_benchmark(inst).as_tuple()))
+        part = partition(inst, m)
+        assert part.contact.size > 1000
+        for gaps in (part.u_gaps, part.l_gaps):
+            assert np.unique(gaps).size == gaps.size   # tie-free pools
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        monkeypatch.setattr(np, "argsort", argsort)
+        median_restricted_mean_interval(inst, m)
+        assert sorts and set(sorts) == {None}   # quicksorts only
 
 
 class TestLeastXSet:
