@@ -22,11 +22,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -102,24 +104,49 @@ BOUND_GRID = 201     # points per bound curve: each one recomputes an interval
 
 def load_csv(path) -> DiscreteInstance:
     """Read scenarios from a CSV with header lower,upper[,weight]."""
-    return parse_csv(Path(path).read_bytes())
+    with Path(path).open("rb") as fh:
+        return parse_csv(fh)
 
 
-def parse_csv(data: str | bytes) -> DiscreteInstance:
-    """Scenarios from CSV text or a CSV file's bytes; blank and ``#`` lines
-    are skipped, and errors name the line as numbered in the text.
+def parse_csv(data: str | bytes | BinaryIO) -> DiscreteInstance:
+    """Scenarios from CSV text, a CSV file's bytes or a binary file open at
+    its start; blank and ``#`` lines are skipped, and errors name the line
+    as numbered in the text.
 
     ASCII input whose first line is the header and whose data lines hold
-    only numbers is read in one bulk numpy pass over its bytes; every other
-    input is decoded as UTF-8 and goes to the line parser, which alone
-    raises parse errors.
+    only numbers is read in one bulk numpy pass, a file in chunks as numpy
+    pulls them; every other input is decoded as UTF-8 (a file is read
+    again from its start) and goes to the line parser, which alone raises
+    parse errors.
     """
     if isinstance(data, str):
         if not data.isascii():
             return _parse_lines(data.splitlines())
         data = data.encode("ascii")
+    if isinstance(data, bytes):
+        data = io.BytesIO(data)
     instance = _parse_bulk(data)
-    return instance if instance is not None else _parse_lines(_decode(data).splitlines())
+    if instance is not None:
+        return instance
+    data.seek(0)
+    return _parse_lines(_decode(data.read()).splitlines())
+
+
+class _Hashed:
+    """A binary file whose bytes, as read from its start, feed one sha256;
+    ``seek(0)`` starts both again."""
+
+    def __init__(self, raw):
+        self.raw, self.sha256 = raw, hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        chunk = self.raw.read(size)
+        self.sha256.update(chunk)
+        return chunk
+
+    def seek(self, start: int) -> None:
+        self.raw.seek(start)
+        self.sha256 = hashlib.sha256()
 
 
 def _decode(data: bytes) -> str:
@@ -146,40 +173,92 @@ def _csv_columns(header: str) -> int | None:
 _OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 # a byte of some line's content: past the header, none means no data line
 _CONTENT = re.compile(rb"[^\r\n]")
+# bytes per read of the bulk pass
+_CHUNK = 1 << 18
 
 
-def _parse_bulk(data: bytes) -> DiscreteInstance | None:
-    """The instance from one ``np.loadtxt`` pass over the bytes, or None
-    where that pass could read them differently from :func:`_parse_lines`.
+class _Declined(Exception):
+    """The bulk pass could read these bytes differently from the line parser."""
+
+
+class _BulkReader:
+    """The lines of a binary CSV stream, as ``np.loadtxt`` pulls them.
+
+    The stream is read once, in chunks, each cut after its last ``\\n`` so
+    that a ``\\r\\n`` never straddles a cut.  Each piece is checked before
+    ``loadtxt`` sees a byte of it: :class:`_Declined` is raised at the first
+    non-ASCII byte, ``\\r`` outside ``\\r\\n`` or other line boundary, when
+    the first line is not a header, and at the end when no data line
+    followed the header.  ``ncols`` is the header's column count.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.ncols = fh, None
+
+    def __iter__(self):
+        # one C-level iterator over every piece's lines (a BytesIO splits at
+        # \n, as numpy does); Python runs once per piece
+        return itertools.chain.from_iterable(self._pieces())
+
+    def _pieces(self):
+        held, content = [], False   # held: the bytes after the last cut
+        while chunk := self.fh.read(_CHUNK):
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:
+                held.append(chunk)
+                continue
+            piece = b"".join([*held, chunk[:cut]]) if held else chunk[:cut]
+            held = [chunk[cut:]]
+            content = self._check(piece, content)
+            yield io.BytesIO(piece)
+        piece = b"".join(held)
+        if piece:
+            content = self._check(piece, content)
+            yield io.BytesIO(piece)
+        if not content:
+            raise _Declined   # no data line: loadtxt would warn and return nothing
+
+    def _check(self, piece: bytes, content: bool) -> bool:
+        """Raise :class:`_Declined` unless the bulk pass may read ``piece``;
+        returns whether a data line has been seen, this piece included."""
+        if (
+            not piece.isascii()
+            or any(br in piece for br in _OTHER_BREAKS)
+            or (b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n"))
+        ):
+            raise _Declined
+        start = 0
+        if self.ncols is None:   # the first piece: its first line is the header
+            start = piece.find(b"\n")
+            self.ncols = _csv_columns(piece[:start].decode("ascii")) if start >= 0 else None
+            if self.ncols is None:
+                raise _Declined   # a file of one line has no data line
+        return content or _CONTENT.search(piece, start) is not None
+
+
+def _parse_bulk(fh) -> DiscreteInstance | None:
+    """The instance from one ``np.loadtxt`` pass over a binary stream, or
+    None where that pass could read it differently from :func:`_parse_lines`.
 
     The pass takes only ASCII whose lines end in ``\\n`` or ``\\r\\n``, so
     numpy and ``str.splitlines`` split it at the same places; both strip the
     same whitespace around cells, and numpy skips empty lines as the line
     parser does.  Everything else the line parser accepts or rejects on its
-    own makes ``loadtxt`` raise, or is caught below: a comment or
-    whitespace-only line, a ragged row, a cell ``float`` reads and numpy
-    does not (``1_0``), a header not on the first line, no data line, an
-    inverted row.
+    own makes ``loadtxt`` raise, or is caught by :class:`_BulkReader` or
+    below: a comment or whitespace-only line, a ragged row, a cell
+    ``float`` reads and numpy does not (``1_0``), a header not on the first
+    line, no data line, an inverted row.
     """
-    if (
-        not data.isascii()
-        or any(br in data for br in _OTHER_BREAKS)
-        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
-    ):
-        return None
-    end = data.find(b"\n")   # a file of one line has no data line
-    ncols = _csv_columns(data[:end].decode("ascii")) if end >= 0 else None
-    if ncols is None or not _CONTENT.search(data, end):
-        return None   # no data line: loadtxt would warn and return nothing
+    reader = _BulkReader(fh)
     try:
-        cells = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=2)
-    except ValueError:
+        cells = np.loadtxt(reader, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    except (_Declined, ValueError):
         return None
-    if cells.shape[1] != ncols or np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
+    if cells.shape[1] != reader.ncols or np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
         return None
     # one instance, its weights divided as normalize divides them: by the sum
     # of a contiguous copy, which is what its total_mass would sum
-    weight = np.ascontiguousarray(cells[:, 2]) if ncols == 3 else np.ones(cells.shape[0])
+    weight = np.ascontiguousarray(cells[:, 2]) if reader.ncols == 3 else np.ones(cells.shape[0])
     total = float(weight.sum())
     if total > 0.0:
         with np.errstate(invalid="ignore"):   # inf / inf: the constructor rejects the nan
@@ -251,21 +330,20 @@ class AnalysisRequest:
         if sources != 1:
             raise InputError("exactly one of --input / --spec must be given")
         if self.csv_path is not None:
-            return parse_csv(self._read_csv())
+            # hashed as read: the report names the bytes it parsed
+            with Path(self.csv_path).open("rb") as raw:
+                fh = _Hashed(raw)
+                instance = parse_csv(fh)
+            self._csv_sha256 = fh.sha256.hexdigest()
+            return instance
         if self.csv_text is not None:
             return parse_csv(self.csv_text)
         return discretize(self.spec)
 
-    def _read_csv(self) -> bytes:
-        """The CSV file's bytes, hashed as read: the report names the bytes it parsed."""
-        payload = Path(self.csv_path).read_bytes()
-        self._csv_sha256 = hashlib.sha256(payload).hexdigest()
-        return payload
-
     def input_digest(self) -> str:
         if self.csv_path is not None:
             if self._csv_sha256 is None:
-                self._read_csv()
+                self._csv_sha256 = hashlib.sha256(Path(self.csv_path).read_bytes()).hexdigest()
             return self._csv_sha256
         text = self.csv_text if self.csv_text is not None else self.spec.label()
         return hashlib.sha256(text.encode()).hexdigest()
@@ -297,6 +375,8 @@ def run(request: AnalysisRequest) -> dict:
     report["instance"] = {"scenarios": int(instance.n), "total_mass": instance.total_mass}
 
     median_range = median_benchmark(instance)
+    if request.restriction and request.restriction[0] in ("mean", "moment"):
+        instance._laws.clear()   # nothing else these reports answer reads the marginal laws
     benchmark = {
         "mean": _interval(aumann_interval(instance), "closed-form"),
         "median": _interval(median_range, "closed-form"),

@@ -86,19 +86,35 @@ class GapProfile:
     a_plus / a_minus are the largest and smallest points of Y inter A
     (-inf / +inf when the intersection is empty); delta_plus / delta_minus
     are the distances from the interval endpoints to those points (+inf on
-    miss scenarios).  out_low / out_high are the infimum and supremum of
-    Y minus A (+inf / -inf on contained scenarios); they are closure
-    points and need not belong to Y minus A itself.
+    miss scenarios), formed on each read.  out_low / out_high are the
+    infimum and supremum of Y minus A (+inf / -inf on contained scenarios);
+    they are closure points and need not belong to Y minus A itself.
+    lower / upper are the instance's own endpoint arrays.
     """
 
+    lower: np.ndarray
+    upper: np.ndarray
     a_plus: np.ndarray
     a_minus: np.ndarray
-    delta_plus: np.ndarray
-    delta_minus: np.ndarray
     hit: np.ndarray
     contain: np.ndarray
     out_low: np.ndarray
     out_high: np.ndarray
+
+    def _gap(self, above: bool, at=slice(None)):
+        """delta_plus (``above``) or delta_minus at the scenarios ``at``: a
+        miss's -inf a_plus or +inf a_minus makes its gap +inf."""
+        if above:
+            return np.maximum(self.upper[at] - self.a_plus[at], 0.0)
+        return np.maximum(self.a_minus[at] - self.lower[at], 0.0)
+
+    @property
+    def delta_plus(self) -> np.ndarray:
+        return self._gap(True)
+
+    @property
+    def delta_minus(self) -> np.ndarray:
+        return self._gap(False)
 
 
 def gap_profile(instance: DiscreteInstance, target: TargetSet) -> GapProfile:
@@ -116,9 +132,6 @@ def gap_profile(instance: DiscreteInstance, target: TargetSet) -> GapProfile:
         a_plus = np.where(meets, np.maximum(a_plus, np.minimum(b, hi)), a_plus)
         contain |= (a <= lo) & (hi <= b)
 
-    delta_plus = np.where(hit, hi - a_plus, np.inf)
-    delta_minus = np.where(hit, a_minus - lo, np.inf)
-
     # complement extremes: where the endpoint sits inside a piece, the
     # nearest exit is that piece's far edge (a closure point).
     out_low = lo.copy()
@@ -131,10 +144,10 @@ def gap_profile(instance: DiscreteInstance, target: TargetSet) -> GapProfile:
     out_low = np.where(contain, np.inf, out_low)
     out_high = np.where(contain, -np.inf, out_high)
     return GapProfile(
+        lower=lo,
+        upper=hi,
         a_plus=a_plus,
         a_minus=a_minus,
-        delta_plus=np.maximum(delta_plus, 0.0),
-        delta_minus=np.maximum(delta_minus, 0.0),
         hit=hit,
         contain=contain,
         out_low=out_low,
@@ -230,17 +243,19 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
     if fills is not None and (bound, above) in fills:
         return fills[bound, above]
     if bound == "sup":
-        gaps, pool = (prof.delta_plus if above else prof.delta_minus), prof.hit
+        idx = np.flatnonzero(prof.hit)
+        g = prof._gap(above, idx)
         base = instance.mean_upper() if above else instance.mean_lower()
     else:
-        partial = prof.hit & ~prof.contain
-        reentry = prof.a_plus - prof.out_high if above else prof.out_low - prof.a_minus
-        gaps = np.where(partial, np.maximum(reentry, 0.0), 0.0)
-        pool = partial & (gaps > 0.0)
-        low, high = _span(instance, prof, "inf")
-        base = float(np.dot(instance.weight, high if above else low))
-    idx = np.flatnonzero(pool)
-    g, w = gaps[idx], instance.weight[idx]
+        idx = np.flatnonzero(prof.hit & ~prof.contain)
+        if above:
+            g = np.maximum(prof.a_plus[idx] - prof.out_high[idx], 0.0)
+        else:
+            g = np.maximum(prof.out_low[idx] - prof.a_minus[idx], 0.0)
+        pool = g > 0.0
+        idx, g = idx[pool], g[pool]
+        base = float(np.dot(instance.weight, _span(instance, prof, "inf")[1 if above else 0]))
+    w = instance.weight[idx]
     cost = g * w
     order, _, sorted_cost, cum_cost = _sort_fill(-g if bound == "inf" else g, cost)
     weight = w[order]
@@ -316,7 +331,7 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills
     if share > 0.0:
         edge = fill.index[k]
         engaged[edge] = fill.weight[k] * share
-        gap = float((prof.delta_plus if above else prof.delta_minus)[edge])
+        gap = float(prof._gap(above, edge))
         lam = math.inf if gap == 0.0 else 1.0 / gap
     if above:
         return lam, (w, [(prof.a_plus, engaged)], instance.upper), float(prob)
@@ -372,12 +387,14 @@ def _psi_mean(instance: DiscreteInstance, prof: GapProfile, lam: float) -> float
     """E of the per-scenario sup of 1{x in A} + lam*x over the interval."""
     if lam >= 0.0:
         out_side = lam * instance.upper
-        anchor = np.where(prof.hit, prof.a_plus, 0.0)
+        in_side = np.where(prof.hit, prof.a_plus, 0.0)
     else:
         out_side = lam * instance.lower
-        anchor = np.where(prof.hit, prof.a_minus, 0.0)
-    in_side = np.where(prof.hit, 1.0 + lam * anchor, -np.inf)
-    return float(np.dot(instance.weight, np.maximum(out_side, in_side)))
+        in_side = np.where(prof.hit, prof.a_minus, 0.0)
+    in_side *= lam   # 1 + lam * anchor on hit scenarios, in place
+    in_side += 1.0
+    in_side[~prof.hit] = -np.inf
+    return float(np.dot(instance.weight, np.maximum(out_side, in_side, out=out_side)))
 
 
 def _phi_mean(instance: DiscreteInstance, prof: GapProfile, lam: float) -> float:
@@ -390,28 +407,34 @@ def _phi_mean(instance: DiscreteInstance, prof: GapProfile, lam: float) -> float
     partial = prof.hit & ~prof.contain
     if lam >= 0.0:
         esc = np.where(partial, prof.out_low, instance.lower)
-        in_anchor = np.where(prof.hit, prof.a_minus, 0.0)
-        contained = 1.0 + lam * instance.lower
+        inside = np.where(prof.hit, prof.a_minus, 0.0)
+        cheap = instance.lower
     else:
         esc = np.where(partial, prof.out_high, instance.upper)
-        in_anchor = np.where(prof.hit, prof.a_plus, 0.0)
-        contained = 1.0 + lam * instance.upper
-    inside = np.where(prof.hit, 1.0 + lam * in_anchor, np.inf)
-    val = np.where(prof.contain, contained, np.minimum(lam * esc, inside))
+        inside = np.where(prof.hit, prof.a_plus, 0.0)
+        cheap = instance.upper
+    inside *= lam   # 1 + lam * anchor on hit scenarios, in place
+    inside += 1.0
+    inside[~prof.hit] = np.inf
+    esc *= lam
+    val = np.minimum(esc, inside, out=esc)
+    val[prof.contain] = 1.0 + lam * cheap[prof.contain]
     return float(np.dot(instance.weight, val))
 
 
-def _kink_argmin(w, left: float, right: float, neg_gaps, pos_gaps) -> float:
+def _kink_argmin(w, left: float, right: float, gaps) -> float:
     """Least point of a convex piecewise-linear function of lam.
 
     Its slope is ``left`` just below 0 and ``right`` just above, and rises
-    by w * g at lam = -1/g for each g in ``neg_gaps`` and at lam = 1/g for
-    each g in ``pos_gaps``: the first kink, counted outward from 0, where
-    the slope reaches 0 (the last one when rounding keeps it below).
+    by w * g at lam = -1/g for each g in ``gaps(-1.0)`` and at lam = 1/g
+    for each g in ``gaps(1.0)``: the first kink, counted outward from 0,
+    where the slope reaches 0 (the last one when rounding keeps it below).
+    Only the side the minimum lies on is built.
     """
     if left <= 0.0 <= right:
         return 0.0
-    start, gaps, side = (-left, neg_gaps, -1.0) if left > 0.0 else (right, pos_gaps, 1.0)
+    start, side = (-left, -1.0) if left > 0.0 else (right, 1.0)
+    gaps = gaps(side)
     keep = gaps > 0.0
     if not keep.any():
         return 0.0
@@ -439,31 +462,30 @@ def _dual(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> DualEnv
     -1/delta_minus, by a_plus - a_minus at 0 (a miss by its width) and by
     delta_plus at 1/delta_plus.  Lower: phi_mean(lam) - lam*kappa mirrors
     it with the partial scenarios' gaps a_plus - out_high and out_low -
-    a_minus.  One sort each, and no call into the primal's greedy fill.
+    a_minus.  One sort each, and no call into the primal's greedy fill;
+    each side is solved and evaluated before the other's scratch is built.
     """
     kappa = _clip_kappa(instance, kappa)
     w, lo, hi, hit = instance.weight, instance.lower, instance.upper, prof.hit
-    part = hit & ~prof.contain
     lam_u = _kink_argmin(
         w[hit],
         float(np.dot(w, np.where(hit, prof.a_minus, lo))) - kappa,
         float(np.dot(w, np.where(hit, prof.a_plus, hi))) - kappa,
-        prof.delta_minus[hit],
-        prof.delta_plus[hit],
+        lambda side: prof._gap(side > 0.0, hit),
     )
+    upper = _psi_mean(instance, prof, lam_u) - lam_u * kappa
+    part = hit & ~prof.contain
     lam_l = _kink_argmin(
         w[part],
         kappa - float(np.dot(w, np.where(part, prof.out_high, hi))),
         kappa - float(np.dot(w, np.where(part, prof.out_low, lo))),
-        np.maximum(prof.a_plus[part] - prof.out_high[part], 0.0),
-        np.maximum(prof.out_low[part] - prof.a_minus[part], 0.0),
+        lambda side: np.maximum(
+            prof.out_low[part] - prof.a_minus[part] if side > 0.0
+            else prof.a_plus[part] - prof.out_high[part],
+            0.0,
+        ),
     )
-    return DualEnvelope(
-        _psi_mean(instance, prof, lam_u) - lam_u * kappa,
-        _phi_mean(instance, prof, lam_l) - lam_l * kappa,
-        lam_u,
-        lam_l,
-    )
+    return DualEnvelope(upper, _phi_mean(instance, prof, lam_l) - lam_l * kappa, lam_u, lam_l)
 
 
 def dual_envelope(instance: DiscreteInstance, target: TargetSet, kappa: float) -> DualEnvelope:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,8 +131,11 @@ def _scenario_envelope(lower, upper, r: float, lam: float, maximize: bool):
     vals = None
     for cand in cands:
         x = np.clip(cand, lower, upper)
-        v = x + lam * _power(x, r)
-        vals = v if vals is None else (np.maximum(vals, v) if maximize else np.minimum(vals, v))
+        v = _power(x, r)
+        v *= lam   # x + lam x^r, in place
+        v += x
+        del x
+        vals = v if vals is None else (np.maximum if maximize else np.minimum)(vals, v, out=vals)
     return vals
 
 
@@ -158,14 +162,25 @@ def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
     odd = _is_odd_integer(r)
     sign, d = (-1.0 if odd and not maximize else 1.0), (1.0 if maximize else -1.0)
     lo_r, hi_r = _power(lo, r), _power(hi, r)
-    t = np.abs(np.concatenate([lo, hi]))
+    scales = [1.0]
     if odd:
         z = np.roots([r - 1.0, r] + [0.0] * (int(r) - 2) + [-1.0])
-        t = np.concatenate([t, t * z.real[(abs(z.imag) < 1e-9) & (z.real > 0.0)][0]])
-    t = -1.0 / (r * t[t > 0.0] ** (r - 1.0))
-    wide = hi > lo
-    cuts = np.concatenate([t, (lo - hi)[wide] / (hi_r - lo_r)[wide]])
-    del t, wide   # at most a few n-length arrays alive at once
+        scales.append(z.real[(abs(z.imag) < 1e-9) & (z.real > 0.0)][0])
+    # every cut is written in place into one array; a zero t or a narrow
+    # scenario writes -inf, -0.0 or 0.0, which the slice below drops
+    n = lo.size
+    cuts = np.empty((2 * len(scales) + 1) * n)
+    with np.errstate(divide="ignore"):
+        for i, (scale, edge) in enumerate(itertools.product(scales, (lo, hi))):
+            seg = np.abs(edge, out=cuts[i * n:(i + 1) * n])
+            if scale != 1.0:
+                seg *= scale
+            seg **= r - 1.0   # -1 / (r t^(r-1))
+            seg *= r
+            np.divide(-1.0, seg, out=seg)
+    seg = np.subtract(lo, hi, out=cuts[-n:])
+    np.divide(seg, hi_r - lo_r, out=seg, where=hi > lo)
+    del seg
     cuts.sort()   # the finite negative cuts are one slice of the sorted ones, not a copy
     cuts = cuts[np.searchsorted(cuts, -np.inf, "right"):np.searchsorted(cuts, 0.0)]
     last = cuts.size   # segment j runs from end(j - 1) to end(j)
@@ -174,7 +189,9 @@ def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
     def regime(lam):
         """Masks of the scenarios whose optimizer at lam is the upper endpoint / sign*t."""
         x = sign * _stationary(lam, r)
-        f_lo, f_hi = lo + lam * lo_r, hi + lam * hi_r
+        f_lo, f_hi = lam * lo_r, lam * hi_r   # lo + lam lo^r and hi + lam hi^r, in place
+        f_lo += lo
+        f_hi += hi
         up = f_hi > f_lo if maximize else f_hi < f_lo
         best = (np.maximum if maximize else np.minimum)(f_lo, f_hi, out=f_lo)
         del f_hi
@@ -187,7 +204,9 @@ def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
         """A multiplier inside segment j, and C, W there."""
         lam = 2.0 * end(0) - 1.0 if j == 0 else 0.5 * (end(j - 1) + end(j))
         up, mid = regime(lam)
-        return lam, float(np.dot(w, np.where(mid, 0.0, np.where(up, hi_r, lo_r)))), float(w[mid].sum())
+        outer = np.where(up, hi_r, lo_r)
+        outer[mid] = 0.0
+        return lam, float(np.dot(w, outer)), float(w[mid].sum())
 
     def moment(j, lam):
         _, c, big_w = segment(j)
@@ -195,7 +214,9 @@ def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
 
     def values(j, t):
         up, mid = regime(segment(j)[0])
-        return np.where(mid, sign * t, np.where(up, hi, lo))
+        x = np.where(up, hi, lo)
+        x[mid] = sign * t
+        return x
 
     reaches = lambda k: d * moment(k, end(k)) >= d * mu   # at the segment's right end
     j = min(bisect.bisect_left(range(last + 1), True, key=reaches), last)

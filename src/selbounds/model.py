@@ -91,8 +91,7 @@ class DiscreteInstance:
             raise EmptyInstance("instance needs at least one scenario")
         if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
             raise InputError("scenario endpoints must be finite")
-        if np.any(~np.isfinite(weight)) or np.any(weight <= 0.0):
-            raise NonpositiveWeight("all scenario weights must be positive and finite")
+        _check_weights(weight)
         bad = lower - upper
         if np.any(bad > INVERSION_ATOL):
             i = int(np.argmax(bad))
@@ -111,6 +110,15 @@ class DiscreteInstance:
         self.upper = upper
         self.weight = weight
         self._laws = {}
+
+    def _reweighted(self, weight) -> "DiscreteInstance":
+        """This instance's validated, read-only endpoints with the fresh
+        array ``weight``, checked as the constructor checks weights."""
+        _check_weights(weight)
+        weight.setflags(write=False)
+        out = object.__new__(DiscreteInstance)
+        out.lower, out.upper, out.weight, out._laws = self.lower, self.upper, weight, {}
+        return out
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[float]]) -> "DiscreteInstance":
@@ -168,7 +176,12 @@ def normalize(instance: DiscreteInstance) -> DiscreteInstance:
         raise NonpositiveWeight("total mass must be positive")
     if abs(total - 1.0) <= 0.0:
         return instance
-    return DiscreteInstance(instance.lower, instance.upper, instance.weight / total)
+    return instance._reweighted(instance.weight / total)
+
+
+def _check_weights(weight) -> None:
+    if np.any(~np.isfinite(weight)) or np.any(weight <= 0.0):
+        raise NonpositiveWeight("all scenario weights must be positive and finite")
 
 
 class StepDistribution:
@@ -177,8 +190,10 @@ class StepDistribution:
     __slots__ = ("values", "masses", "_cum")
 
     def __init__(self, values, masses):
-        values = np.array(values, dtype=float)
-        masses = np.array(masses, dtype=float)
+        self._own(np.array(values, dtype=float), np.array(masses, dtype=float))
+
+    def _own(self, values, masses) -> None:
+        """Check two fresh float arrays and keep them, read-only."""
         if values.ndim != 1 or values.shape != masses.shape or values.size == 0:
             raise InputError("values and masses must be equal-length nonempty 1-d arrays")
         if np.any(np.diff(values) <= 0.0):
@@ -202,14 +217,28 @@ class StepDistribution:
         if np.any(weights < -MASS_ATOL):
             raise InputError("sample weights must be nonnegative")
         keep = weights > 0.0
-        values, weights = values[keep], weights[keep]
+        if not keep.all():
+            values, weights = values[keep], weights[keep]
         if values.size == 0:
             raise InputError("no positive-mass samples")
-        uniq, inverse = np.unique(values, return_inverse=True)
-        masses = np.zeros(uniq.size)
-        np.add.at(masses, inverse, weights)
-        total = masses.sum()
-        return cls(uniq, masses / total)
+        # np.unique(return_inverse=True) and np.add.at without their copies:
+        # each value's mass sums its weights in sample order
+        order = values.argsort()
+        v = values[order]
+        first = np.empty(v.size, dtype=bool)   # first of its value along the order
+        first[0] = True
+        np.not_equal(v[1:], v[:-1], out=first[1:])
+        run = np.cumsum(first)
+        run -= 1
+        inverse = np.empty_like(run)
+        inverse[order] = run
+        del order, run
+        masses = np.bincount(inverse, weights=weights)
+        del inverse
+        masses /= masses.sum()
+        law = object.__new__(cls)
+        law._own(v if masses.size == v.size else v[first], masses)
+        return law
 
     @property
     def n(self) -> int:

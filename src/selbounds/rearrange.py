@@ -82,20 +82,25 @@ def _fill_order(values):
 
     The order is the permutation ``np.lexsort((np.arange(n), values))``
     gives, from one quicksort: only positions inside runs of equal sorted
-    values are sorted again, by position, so a pool without ties never
-    pays for a stable sort and a pool of many zero gaps pays only for its
-    ties.  ``values`` holds no NaN.
+    values are sorted again, by (run, position) keys, so a pool without
+    ties never pays for a stable sort and a pool of many zero gaps pays
+    only for its ties.  ``values`` holds no NaN.
     """
     order = np.argsort(values)
     v = values[order]
-    tie = v[1:] == v[:-1]
-    if tie.any():
-        again = np.concatenate(([False], tie))   # equal to the value before it
-        at = np.flatnonzero(again | np.concatenate((tie, [False])))
-        run = np.cumsum(~again[at]) * v.size     # each tied position's run, times n
-        key = run + order[at]
+    same = v[1:] == v[:-1]
+    if np.count_nonzero(same):
+        n = v.size
+        tied = np.zeros(n + 1, dtype=bool)   # tied[i]: v[i] equals v[i - 1]
+        tied[1:n] = same
+        at = (tied[:n] | tied[1:]).nonzero()[0]
+        run = np.where(tied[at], 0, n)       # n where a run starts
+        np.add.accumulate(run, out=run)      # each position's run, times n
+        key = order[at]
+        key += run
         key.sort()
-        order[at] = key = key - run
+        key -= run
+        order[at] = key
         v[at] = values[key]   # -0.0 and 0.0 tie but differ in bits
     return order, v
 

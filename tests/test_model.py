@@ -57,6 +57,54 @@ class TestNormalize:
         with pytest.raises(InvertedInterval):
             DiscreteInstance([2.0], [1.0], [0.5])
 
+    def test_shares_the_validated_endpoints(self):
+        rng = np.random.default_rng(4)
+        lower = rng.uniform(0.0, 4.0, 1000)
+        weight = rng.uniform(0.1, 1.0, lower.size)
+        inst = DiscreteInstance(lower, lower + rng.exponential(1.0, lower.size), weight)
+        out = normalize(inst)
+        assert out.lower is inst.lower and out.upper is inst.upper
+        assert out.weight.tobytes() == (inst.weight / inst.total_mass).tobytes()
+        assert not out.weight.flags.writeable
+
+    def test_normalized_weights_are_checked_again(self):
+        # 1e-300 / 1e300 underflows to a zero weight
+        with pytest.raises(NonpositiveWeight):
+            normalize(DiscreteInstance([0.0, 1.0], [1.0, 2.0], [1e-300, 1e300]))
+
+
+def _unique_law(values, weights):
+    """The aggregation ``StepDistribution.from_samples`` made before it
+    stopped copying: ``np.unique`` and ``np.add.at``."""
+    keep = weights > 0.0
+    uniq, inverse = np.unique(values[keep], return_inverse=True)
+    masses = np.zeros(uniq.size)
+    np.add.at(masses, inverse, weights[keep])
+    return uniq, masses / masses.sum()
+
+
+class TestFromSamples:
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from(["grid", "zeros", "continuous"])
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_the_unique_aggregation(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":   # long runs of ties, summed in sample order
+            values = 0.25 * rng.integers(-8, 9, n)
+        elif kind == "zeros":   # -0.0 and 0.0 tie; the run keeps one of them
+            values = rng.choice([-0.0, 0.0, 0.5], n)
+        else:
+            values = rng.normal(size=n)
+        weights = rng.uniform(0.1, 1.0, n)
+        weights[rng.uniform(size=n) < 0.2] = 0.0
+        weights[0] = 1.0
+        law = StepDistribution.from_samples(values, weights)
+        uniq, masses = _unique_law(values, weights)
+        assert law.values.tobytes() == uniq.tobytes()
+        assert law.masses.tobytes() == masses.tobytes()
+        assert not law.values.flags.writeable and not law.masses.flags.writeable
+
 
 class TestMarginalLaw:
     def test_two_state_lower(self):
