@@ -24,6 +24,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -50,6 +51,7 @@ from .model import (
     DiscreteInstance,
     _marginal,
     discretize,
+    normalize,
 )
 from .benchmarks import aumann_interval, median_benchmark, quantile_attainability_range
 from .median import (
@@ -259,10 +261,13 @@ def _parse_bulk(fh) -> DiscreteInstance | None:
     # one instance, its weights divided as normalize divides them: by the sum
     # of a contiguous copy, which is what its total_mass would sum
     weight = np.ascontiguousarray(cells[:, 2]) if reader.ncols == 3 else np.ones(cells.shape[0])
-    total = float(weight.sum())
-    if total > 0.0:
-        with np.errstate(invalid="ignore"):   # inf / inf: the constructor rejects the nan
-            weight /= total
+    with np.errstate(over="ignore"):
+        total = float(weight.sum())
+    if not 0.0 < total < math.inf:
+        # a bad weight or a sum that overflows: refused as the line parser
+        # refuses them, by the constructor or by normalize
+        return normalize(DiscreteInstance(cells[:, 0], cells[:, 1], weight))
+    weight /= total
     return DiscreteInstance(cells[:, 0], cells[:, 1], weight)
 
 

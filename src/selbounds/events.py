@@ -125,24 +125,21 @@ def gap_profile(instance: DiscreteInstance, target: TargetSet) -> GapProfile:
     a_minus = np.full(n, np.inf)
     hit = np.zeros(n, dtype=bool)
     contain = np.zeros(n, dtype=bool)
-    for a, b in target.pieces:
-        meets = (lo <= b) & (hi >= a)
-        hit |= meets
-        a_minus = np.where(meets, np.minimum(a_minus, np.maximum(a, lo)), a_minus)
-        a_plus = np.where(meets, np.maximum(a_plus, np.minimum(b, hi)), a_plus)
-        contain |= (a <= lo) & (hi <= b)
-
     # complement extremes: where the endpoint sits inside a piece, the
     # nearest exit is that piece's far edge (a closure point).
     out_low = lo.copy()
     out_high = hi.copy()
     for a, b in target.pieces:
-        covers_lo = (a <= lo) & (lo <= b)
-        covers_hi = (a <= hi) & (hi <= b)
-        out_low = np.where(covers_lo, b, out_low)
-        out_high = np.where(covers_hi, a, out_high)
-    out_low = np.where(contain, np.inf, out_low)
-    out_high = np.where(contain, -np.inf, out_high)
+        a_lo, lo_b, a_hi, hi_b = a <= lo, lo <= b, a <= hi, hi <= b
+        meets = lo_b & a_hi
+        hit |= meets
+        np.minimum(a_minus, np.maximum(a, lo), out=a_minus, where=meets)
+        np.maximum(a_plus, np.minimum(b, hi), out=a_plus, where=meets)
+        contain |= a_lo & hi_b
+        np.copyto(out_low, b, where=a_lo & lo_b)
+        np.copyto(out_high, a, where=a_hi & hi_b)
+    out_low[contain] = np.inf
+    out_high[contain] = -np.inf
     return GapProfile(
         lower=lo,
         upper=hi,
@@ -281,11 +278,7 @@ def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas, fil
     slack = float(w[prof.hit if bound == "sup" else prof.contain].sum())
     floor = 0.0 if bound == "sup" else slack   # L's contained mass always counts
     out = np.full(kappas.shape, slack)
-    inside = (lo - _ATOL <= kappas) & (kappas <= hi + _ATOL)
-    if inside.all():
-        return out
-    above = ~inside & (kappas > hi)
-    for side, at in ((True, above), (False, ~inside & ~above)):
+    for side, at in ((True, kappas > hi + _ATOL), (False, kappas < lo - _ATOL)):
         if at.any():
             fill = _regime_fill(instance, prof, bound, side, fills)
             out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]))[2]
@@ -372,6 +365,8 @@ def _clip_kappas(instance: DiscreteInstance, kappas) -> np.ndarray:
     mean range raises its error."""
     values = np.asarray(kappas, dtype=float)
     box = aumann_interval(instance)
+    if values.size and box.lo <= values.min() and values.max() <= box.hi:
+        return values   # nothing to clip
     tol = 1e-9 * np.maximum(1.0, np.abs(values))
     inside = (box.lo - tol <= values) & (values <= box.hi + tol)
     if not inside.all():

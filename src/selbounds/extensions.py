@@ -3,10 +3,12 @@
 Moment restrictions are handled through a scalar dual: for each multiplier
 the per-scenario problem max/min of x + lam*x^r over the interval is solved
 in closed form (endpoints plus interior stationary points).  Each
-scenario's optimizer switches only at closed-form multipliers, so the
-optimal multiplier is found exactly by bisecting the sorted switch points
-and solving the last segment in closed form; the optimizers there form a
-selection that attains the endpoint.
+scenario's optimizer switches only at closed-form multipliers, sorted once
+per solve for both sides, so the optimal multiplier lies in one segment
+between them, solved in closed form; the optimizers there form a
+selection that attains the endpoint.  The segment is found by evaluating
+batches of candidate segments as tables of CELLS cells: every segment at
+once for small instances, one bisection probe per pass for large ones.
 
 Fixed-quantile restrictions at level alpha reuse the pivot machinery from
 the median case with mass levels (alpha, 1-alpha): the upper endpoint caps
@@ -21,10 +23,9 @@ quantile constraint pins P(y < q) strictly below alpha.
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,11 @@ from .benchmarks import (
 from .median import _pivot_fill, partition, pivot_mean_interval
 
 _ATOL = 1e-12
+#: cells (segments x scenarios) per table of the moment segment search: a
+#: pass evaluates CELLS // n segments, at least one
+CELLS = 2**12
+# searched for in the sorted cuts: the first finite one and the first zero
+_FINITE_NEGATIVE = np.array([-np.finfo(float).max, 0.0])
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ class QuantileRestriction:
 
 
 def _is_odd_integer(r: float) -> bool:
-    return float(r).is_integer() and int(r) % 2 == 1
+    return float(r) % 2.0 == 1.0
 
 
 def _power(x: np.ndarray, r: float) -> np.ndarray:
@@ -98,6 +104,13 @@ def power_image_interval(instance: DiscreteInstance, r: float) -> ClosedInterval
     validity condition, so the image of the random interval is again an
     interval with transformed endpoints.
     """
+    return _power_image(instance, r)[0]
+
+
+def _power_image(instance: DiscreteInstance, r: float):
+    """:func:`power_image_interval`, and the endpoints it raises to the
+    power r: the instance's own or, unless r is an odd integer, copies
+    clamped at 0."""
     _check_power_validity(instance, r)
     lower, upper = instance.lower, instance.upper
     if not _is_odd_integer(r):
@@ -106,7 +119,7 @@ def power_image_interval(instance: DiscreteInstance, r: float) -> ClosedInterval
         upper = np.maximum(upper, 0.0)
     lo = float(np.dot(instance.weight, _power(lower, r)))
     hi = float(np.dot(instance.weight, _power(upper, r)))
-    return ClosedInterval(min(lo, hi), max(lo, hi))
+    return ClosedInterval(min(lo, hi), max(lo, hi)), lower, upper
 
 
 def _scenario_envelope(lower, upper, r: float, lam: float, maximize: bool):
@@ -115,26 +128,24 @@ def _scenario_envelope(lower, upper, r: float, lam: float, maximize: bool):
     Candidates: both endpoints plus real stationary points of the map,
     i.e. solutions of 1 + lam*r*x^(r-1) = 0 inside the interval.
     """
-    cands = [lower, upper]
+    roots = []
     if lam != 0.0 and r != 1.0:
         c = -1.0 / (lam * r)
         if _is_odd_integer(r) and int(r) >= 3:
             # r-1 even: real roots only when c > 0, symmetric pair
             if c > 0.0:
                 root = c ** (1.0 / (r - 1.0))
-                cands.extend([np.full_like(lower, root), np.full_like(lower, -root)])
+                roots = [root, -root]
         elif r == 2.0:
-            cands.append(np.full_like(lower, -1.0 / (2.0 * lam)))
+            roots = [-1.0 / (2.0 * lam)]
         elif r > 0.0:
             if c > 0.0:
-                cands.append(np.full_like(lower, c ** (1.0 / (r - 1.0))))
+                roots = [c ** (1.0 / (r - 1.0))]
     vals = None
-    for cand in cands:
-        x = np.clip(cand, lower, upper)
+    for x in [lower, upper] + [np.minimum(np.maximum(lower, root), upper) for root in roots]:
         v = _power(x, r)
         v *= lam   # x + lam x^r, in place
         v += x
-        del x
         vals = v if vals is None else (np.maximum if maximize else np.minimum)(vals, v, out=vals)
     return vals
 
@@ -146,93 +157,251 @@ def _stationary(lam: float, r: float) -> float:
     return (-1.0 / (lam * r)) ** (1.0 / (r - 1.0))
 
 
-def _moment_optimum(w, lo, hi, r: float, mu: float, maximize: bool):
-    """lam* <= 0 and the optimizers of x + lam* x^r, on data scaled into [-1, 1].
+class _Breaks(NamedTuple):
+    """One moment solve's data, scaled into [-1, 1], and its breakpoints:
+    the multipliers where some scenario's optimizer of x + lam x^r can
+    switch (see :func:`_moment_optimum`).  Neither side changes them."""
 
-    A scenario's optimizer switches only where the stationary point t meets
-    |lower| or |upper|, where the endpoints tie (lam = -(upper - lower) /
-    (upper^r - lower^r)) or, for odd r, where an endpoint ties the
-    stationary point across 0 (t = z |endpoint|, z the root in (0,1) of
-    (r-1) z^r + r z^(r-1) = 1).  Between these sorted breakpoints every
-    optimizer is an endpoint or sign*t, so E[x*^r] = C + sign W t^r there,
-    monotone in lam across segments.  A bisection finds the segment where it
-    meets mu, solved in closed form; at a jump, the two optimizers mix with
-    one fraction.  Returns lam*, the values, their fraction and the rest.
-    """
-    odd = _is_odd_integer(r)
-    sign, d = (-1.0 if odd and not maximize else 1.0), (1.0 if maximize else -1.0)
+    w: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_r: np.ndarray
+    hi_r: np.ndarray
+    mean_lo_r: float   # E[lo^r]
+    ends: np.ndarray   # the breakpoints sorted, then 0: segment j ends at ends[j]
+    r: float
+    odd: bool          # r an odd integer: the data may be signed
+
+
+class _Table(NamedTuple):
+    """One side's regimes at a batch of probed segments, one row each: the
+    segment's midpoint lam, the masks of the scenarios whose optimizer
+    there is the upper endpoint (``up``) or sign*t (``mid``), and E[x*^r]
+    at each segment's right end but the last segment's (``reached``).
+    Along a row's segment E[x*^r] = C + sign W t^r, C summed over the
+    endpoint optimizers and W the weight at sign*t."""
+
+    lam: np.ndarray
+    up: np.ndarray
+    mid: np.ndarray
+    reached: np.ndarray
+
+
+def _breakpoints(w, lo, hi, r: float) -> _Breaks:
+    """lo^r, hi^r and the sorted breakpoints, built once per solve."""
     lo_r, hi_r = _power(lo, r), _power(hi, r)
-    scales = [1.0]
+    scales, odd = [1.0], _is_odd_integer(r)
     if odd:
         z = np.roots([r - 1.0, r] + [0.0] * (int(r) - 2) + [-1.0])
         scales.append(z.real[(abs(z.imag) < 1e-9) & (z.real > 0.0)][0])
     # every cut is written in place into one array; a zero t or a narrow
-    # scenario writes -inf, -0.0 or 0.0, which the slice below drops
+    # scenario writes -inf, -0.0 or 0.0, which the slice below drops, and
+    # the extra last slot holds the 0 that closes the last segment
     n = lo.size
-    cuts = np.empty((2 * len(scales) + 1) * n)
+    cuts = np.empty((2 * len(scales) + 1) * n + 1)
+    cuts[-1] = 0.0
     with np.errstate(divide="ignore"):
-        for i, (scale, edge) in enumerate(itertools.product(scales, (lo, hi))):
-            seg = np.abs(edge, out=cuts[i * n:(i + 1) * n])
+        for i, scale in enumerate(scales):
+            seg = cuts[2 * i * n:2 * (i + 1) * n]
+            np.abs(lo, out=seg[:n])
+            np.abs(hi, out=seg[n:])
             if scale != 1.0:
                 seg *= scale
             seg **= r - 1.0   # -1 / (r t^(r-1))
             seg *= r
             np.divide(-1.0, seg, out=seg)
-    seg = np.subtract(lo, hi, out=cuts[-n:])
-    np.divide(seg, hi_r - lo_r, out=seg, where=hi > lo)
+        seg = np.subtract(lo, hi, out=cuts[-n - 1:-1])
+        np.divide(seg, hi_r - lo_r, out=seg, where=hi > lo)
     del seg
-    cuts.sort()   # the finite negative cuts are one slice of the sorted ones, not a copy
-    cuts = cuts[np.searchsorted(cuts, -np.inf, "right"):np.searchsorted(cuts, 0.0)]
-    last = cuts.size   # segment j runs from end(j - 1) to end(j)
-    end = lambda i: -math.inf if i < 0 else (0.0 if i == last else float(cuts[i]))
+    cuts.sort()   # the finite negative cuts and one 0 are one slice of the sorted ones, not a copy
+    first, zero = cuts.searchsorted(_FINITE_NEGATIVE)
+    ends = cuts[first:zero + 1]
+    return _Breaks(w, lo, hi, lo_r, hi_r, float(np.dot(w, lo_r)), ends, r, odd)
 
-    def regime(lam):
-        """Masks of the scenarios whose optimizer at lam is the upper endpoint / sign*t."""
-        x = sign * _stationary(lam, r)
-        f_lo, f_hi = lam * lo_r, lam * hi_r   # lo + lam lo^r and hi + lam hi^r, in place
-        f_lo += lo
-        f_hi += hi
-        up = f_hi > f_lo if maximize else f_hi < f_lo
-        best = (np.maximum if maximize else np.minimum)(f_lo, f_hi, out=f_lo)
-        del f_hi
-        f_x = x + lam * _power(x, r)
-        mid = (lo < x) & (x < hi) & (f_x > best if maximize else f_x < best)
-        return up & ~mid, mid
 
-    @functools.cache
-    def segment(j):
-        """A multiplier inside segment j, and C, W there."""
-        lam = 2.0 * end(0) - 1.0 if j == 0 else 0.5 * (end(j - 1) + end(j))
-        up, mid = regime(lam)
-        outer = np.where(up, hi_r, lo_r)
-        outer[mid] = 0.0
-        return lam, float(np.dot(w, outer)), float(w[mid].sum())
+def _probes(lo_j: int, hi_j: int, batch: int):
+    """The segments a pass evaluates: every one of lo_j .. hi_j - 1, or
+    ``batch`` of them spread evenly (the midpoint when ``batch`` is 1)."""
+    span = hi_j - lo_j
+    if span <= batch:
+        return np.arange(lo_j, hi_j)
+    # lo_j + i span // (batch + 1) for i = 1 .. batch
+    start = lo_j * (batch + 1) + span
+    return np.arange(start, start + batch * span, span) // (batch + 1)
 
-    def moment(j, lam):
-        _, c, big_w = segment(j)
-        return c + sign * big_w * _stationary(lam, r) ** r if big_w > 0.0 else c
 
-    def values(j, t):
-        up, mid = regime(segment(j)[0])
-        x = np.where(up, hi, lo)
-        x[mid] = sign * t
-        return x
+def _segment_tables(b: _Breaks, probes, sides):
+    """The tables of the ``sides`` (maximize flags) at the segments ``probes``.
 
-    reaches = lambda k: d * moment(k, end(k)) >= d * mu   # at the segment's right end
-    j = min(bisect.bisect_left(range(last + 1), True, key=reaches), last)
-    if j > 0 and d * moment(j, end(j - 1)) >= d * mu:   # mu inside the jump at end(j - 1)
-        lam = end(j - 1)
-        t = _stationary(lam, r)
-        m_prev, m_cur = moment(j - 1, lam), moment(j, lam)
-        return lam, values(j, t), min(max((mu - m_prev) / (m_cur - m_prev), 0.0), 1.0), values(j - 1, t)
-    lam, c, big_w = segment(j)
+    The midpoints lam, lo + lam lo^r and hi + lam hi^r, t and g = t + lam
+    t^r, and t^r at the right ends do not depend on the side, so the first
+    pass, where both sides probe the same segments, builds them once.  For
+    odd r the min side's stationary optimizer is -t, where x + lam x^r is
+    -g and x^r is -t^r.  Every side's masks are taken before its sums, so
+    the (probes x n) rows of x + lam x^r are freed first.
+    """
+    ends, r, m, odd = b.ends, b.r, probes.size, b.odd
+    right = ends[probes]
+    lam = ends[probes - 1] + right   # probe 0 reads the last end here; set below
+    lam *= 0.5
+    if probes[0] == 0:
+        lam[0] = 2.0 * ends[0] - 1.0
+    rows = (m, 1) if m > 1 else (1,)   # one row is computed flat: 2-d broadcasts cost more
+    col = lam.reshape(rows)
+    f_lo = col * b.lo_r   # lo + lam lo^r and hi + lam hi^r, in place
+    f_lo += b.lo
+    f_hi = col * b.hi_r
+    f_hi += b.hi
+    inner = m - (int(probes[-1]) == ends.size - 1)   # the last right end, 0, is never read
+    t = np.concatenate((lam, right[:inner]))   # t at the midpoints, then at the right ends
+    t *= r
+    np.divide(-1.0, t, out=t)
+    t **= 1.0 / (r - 1.0)   # (-1 / (r lam))^(1 / (r - 1)), as _stationary
+    t, right = t[:m], t[m:]
+    right **= r
+    g = np.power(t, r)   # t > 0
+    g *= lam
+    g += t
+    masks, inside = [], None
+    for maximize in sides:
+        beats = np.greater if maximize else np.less
+        flip = odd and not maximize
+        x, f_x = (-t, -g) if flip else (t, g)
+        x, f_x = x.reshape(rows), f_x.reshape(rows)
+        if inside is None or odd:   # lo < x < hi, the same on both sides unless x is -t
+            inside = np.less(b.lo, x)
+            inside &= x < b.hi
+        mid = beats(f_x, f_lo)   # x inside, beating both endpoints
+        mid &= beats(f_x, f_hi)
+        mid &= inside
+        up = beats(f_hi, f_lo)
+        np.greater(up, mid, out=up)   # up and not mid
+        masks.append((flip, up, mid))
+    del f_lo, f_hi
+    # W, and C = E[lo^r] + E[up (hi^r - lo^r)] - E[mid lo^r]: products of
+    # the masks with weighted powers, which do not branch on the masks as a
+    # select would; one weighted column is alive at a time
+    weighted = b.hi_r - b.lo_r
+    weighted *= b.w
+    rises = [np.dot(up, weighted) for _, up, _ in masks]
+    np.multiply(b.lo_r, b.w, out=weighted)
+    tables = []
+    for (flip, up, mid), rise in zip(masks, rises):
+        reached = np.dot(mid, b.w).reshape(m)[:inner]   # W, then C + sign W t^r
+        reached *= right
+        if flip:
+            np.negative(reached, out=reached)
+        c = rise - np.dot(mid, weighted)
+        c += b.mean_lo_r
+        reached += c.reshape(m)[:inner]
+        tables.append(_Table(lam, up.reshape(m, -1), mid.reshape(m, -1), reached))
+    return tables
+
+
+def _row(b: _Breaks, table: _Table, i: int):
+    """The multiplier, C and W of row ``i`` of a table, C and W summed
+    over the row's optimizers as the solve always has (the table's sums,
+    taken from the weighted masks, only order the search)."""
+    up, mid = table.up[i], table.mid[i]
+    outer = np.where(up, b.hi_r, b.lo_r)
+    np.putmask(outer, mid, 0.0)
+    return float(table.lam[i]), float(np.dot(b.w, outer)), float(b.w[mid].sum())
+
+
+def _values(lo, hi, table: _Table, i: int, x_mid: float):
+    """The optimizers along row ``i`` of a table, sign*t = ``x_mid``."""
+    x = np.where(table.up[i], hi, lo)
+    np.putmask(x, table.mid[i], x_mid)
+    return x
+
+
+def _moment_optima(w, lo, hi, r: float, mu: float):
+    """lam*, the optimizers, their fraction and the rest, of the min and the
+    max side (see :func:`_moment_optimum`).  Both sides search one build of
+    the breakpoints and take their first tables from one call, since they
+    probe the same segments first; the optimizers are built from the rows
+    found once the breakpoints are freed."""
+    b = _breakpoints(w, lo, hi, r)
+    batch = max(1, CELLS // lo.size)
+    probes = _probes(0, b.ends.size, batch)
+    firsts = _segment_tables(b, probes, (False, True))
+    found = [
+        _moment_optimum(b, mu, maximize, batch, probes, first)
+        for maximize, first in zip((False, True), firsts)
+    ]
+    del b
+    out = []
+    for lam, theta, x_mid, row, rest in found:
+        x = _values(lo, hi, *row, x_mid)
+        out.append((lam, x, theta, x if rest is None else _values(lo, hi, *rest, x_mid)))
+    return out
+
+
+def _moment_optimum(b: _Breaks, mu: float, maximize: bool, batch: int, probes, table: _Table):
+    """lam* <= 0 and the optimizers of x + lam* x^r on one side, from the
+    table of the first pass at ``probes``.
+
+    A scenario's optimizer switches only where the stationary point t meets
+    |lower| or |upper|, where the endpoints tie (lam = -(upper - lower) /
+    (upper^r - lower^r)) or, for odd r, where an endpoint ties the
+    stationary point across 0 (t = z |endpoint|, z the root in (0,1) of
+    (r-1) z^r + r z^(r-1) = 1).  Segment j runs from the breakpoint
+    ends[j - 1] (-inf for j = 0) to ends[j] (0 for the last one).  Inside
+    it every optimizer is an endpoint or sign*t, so E[x*^r] = C + sign W t^r
+    there, monotone in lam across segments.  The search wants the first
+    segment whose right end reaches mu (the last one counts as reaching).
+    Each pass evaluates ``batch`` = CELLS // n open segments, spread evenly,
+    as one table, and keeps the rows of the first that reaches and of the
+    one before it: up to about 30 scenarios one table holds every segment,
+    a few hundred take two or three passes, and from CELLS / 2 scenarios
+    each pass probes the midpoint, a bisection.  The segment found is solved in closed form from its row; at
+    a jump, its optimizers and those of the row before mix with one
+    fraction.  Returns lam*, the fraction theta, sign*t, and the (table,
+    row) of the optimizers and of the rest (None: the rest are the
+    optimizers).
+    """
+    r, ends = b.r, b.ends
+    sign = -1.0 if b.odd and not maximize else 1.0
+    last = ends.size - 1
+    lo_j, hi_j = 0, last + 1   # the first reaching segment lies in [lo_j, hi_j]
+    below = above = None       # (table, row) of segments lo_j - 1 and hi_j
+    while True:
+        reached = table.reached
+        reach = np.greater_equal(reached, mu) if maximize else np.less_equal(reached, mu)
+        i = int(reach.argmax()) if reach.size else 0
+        if not (reach.size and reach[i]):
+            i = reach.size   # the last segment, if probed, counts as reaching
+        if i < probes.size:   # probe i is the first that reaches
+            hi_j, above = int(probes[i]), (table, i)
+            if i:
+                lo_j, below = int(probes[i - 1]) + 1, (table, i - 1)
+        else:
+            lo_j, below = int(probes[-1]) + 1, (table, i - 1)
+        if lo_j == hi_j:
+            break
+        probes = _probes(lo_j, hi_j, batch)
+        (table,) = _segment_tables(b, probes, (maximize,))
+    j, (table, i) = hi_j, above
+    lam, c, big_w = _row(b, table, i)
+    d = 1.0 if maximize else -1.0
+    if j > 0:
+        left = float(ends[j - 1])
+        t = _stationary(left, r)
+        m_cur = c + sign * big_w * t ** r if big_w > 0.0 else c
+        if d * m_cur >= d * mu:   # mu inside the jump at ends[j - 1]
+            prev, k = below
+            _, c_prev, w_prev = _row(b, prev, k)
+            m_prev = c_prev + sign * w_prev * t ** r if w_prev > 0.0 else c_prev
+            # rounding apart from the search's sums, the row before may reach mu too
+            theta = min(max((mu - m_prev) / (m_cur - m_prev), 0.0), 1.0) if m_cur != m_prev else 1.0
+            return left, theta, sign * t, (table, i), below
     t = _stationary(lam, r)
     if big_w > 0.0:
-        t_a, t_b = sorted((_stationary(end(j - 1), r), _stationary(end(j), r)))
+        t_a = _stationary(float(ends[j - 1]) if j else -math.inf, r)
+        t_a, t_b = sorted((t_a, _stationary(float(ends[j]), r)))
         t = min(max(max(sign * (mu - c) / big_w, 0.0) ** (1.0 / r), t_a), t_b)
         lam = -1.0 / (r * t ** (r - 1.0)) if t > 0.0 else (-math.inf if r > 1.0 else 0.0)
-    x = values(j, t)
-    return lam, x, 1.0, x
+    return lam, 1.0, sign * t, (table, i), None
 
 
 def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
@@ -244,11 +413,11 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
     mu_r at an image edge pins every scenario to that endpoint (lam* is 0
     on one side and -inf on the other).  Otherwise each side is solved on
     the data divided by s = max |endpoint| (mu_r by s^r), so nothing
-    depends on the units.
+    depends on the units; both sides search one set of breakpoints, freed
+    before the dual objectives are evaluated.
     """
     r, mu = restriction.r, restriction.mu_r
-    _check_power_validity(instance, r)
-    image = power_image_interval(instance, r)
+    image, low, high = _power_image(instance, r)
     tol = 1e-9 * max(1.0, abs(image.lo), abs(image.hi))
     if not image.contains(mu, tol=tol):
         raise InfeasibleMoment(
@@ -263,17 +432,17 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
         x = lower if mu == image.lo else upper
         sides = [(float(np.dot(w, x)),) * 2 + (x, 1.0, x)] * 2
     else:
-        s = float(max(np.abs(lower).max(), np.abs(upper).max()))
-        lo, hi, mu = lower / s, upper / s, mu / s**r
-        if not _is_odd_integer(r):   # clamp -1e-15 noise, as power_image_interval does
-            np.maximum(lo, 0.0, out=lo)
-            np.maximum(hi, 0.0, out=hi)
+        s = max(float(upper.max()), -float(lower.min()))   # max |endpoint|: lower <= upper
+        lo, hi, mu = low / s, high / s, mu / s**r   # clamped as the image's endpoints
+        del low, high
         sides = []
-        for maximize in (False, True):
-            lam, x, theta, rest = _moment_optimum(w, lo, hi, r, mu, maximize)
-            scaled = [np.clip(s * v, lower, upper) for v in ((x,) if rest is x else (x, rest))]
-            x, rest = scaled[0], scaled[-1]
-            primal = theta * float(np.dot(w, x)) + (1.0 - theta) * float(np.dot(w, rest))
+        for maximize, (lam, x, theta, rest) in zip((False, True), _moment_optima(w, lo, hi, r, mu)):
+            for v in (x,) if rest is x else (x, rest):   # back to the data's units, in place
+                v *= s
+                np.maximum(v, lower, out=v)
+                np.minimum(v, upper, out=v)
+            mean_x = float(np.dot(w, x))
+            primal = theta * mean_x + (1.0 - theta) * (mean_x if rest is x else float(np.dot(w, rest)))
             if math.isfinite(lam):
                 dual = s * (float(np.dot(w, _scenario_envelope(lo, hi, r, lam, maximize))) - lam * mu)
             else:

@@ -16,6 +16,7 @@ never interpolated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -45,7 +46,7 @@ class ClosedInterval:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InputError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             if self.lo - self.hi > 1e-9 * max(1.0, abs(self.lo), abs(self.hi)):
@@ -171,9 +172,12 @@ class DiscreteInstance:
 
 def normalize(instance: DiscreteInstance) -> DiscreteInstance:
     """Rescale weights to total mass one, preserving scenario order."""
-    total = instance.total_mass
+    with np.errstate(over="ignore"):   # an overflowing sum is refused below
+        total = instance.total_mass
     if total <= 0.0:
         raise NonpositiveWeight("total mass must be positive")
+    if total == math.inf:
+        raise NonpositiveWeight("total mass overflows the float range")
     if abs(total - 1.0) <= 0.0:
         return instance
     return instance._reweighted(instance.weight / total)
@@ -190,10 +194,8 @@ class StepDistribution:
     __slots__ = ("values", "masses", "_cum")
 
     def __init__(self, values, masses):
-        self._own(np.array(values, dtype=float), np.array(masses, dtype=float))
-
-    def _own(self, values, masses) -> None:
-        """Check two fresh float arrays and keep them, read-only."""
+        values = np.array(values, dtype=float)
+        masses = np.array(masses, dtype=float)
         if values.ndim != 1 or values.shape != masses.shape or values.size == 0:
             raise InputError("values and masses must be equal-length nonempty 1-d arrays")
         if np.any(np.diff(values) <= 0.0):
@@ -203,6 +205,10 @@ class StepDistribution:
         total = masses.sum()
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"masses must sum to 1 within {MASS_ATOL}, got {total!r}")
+        self._keep(values, masses)
+
+    def _keep(self, values, masses) -> None:
+        """Keep two fresh, checked float arrays, read-only."""
         values.setflags(write=False)
         masses.setflags(write=False)
         self.values = values
@@ -214,13 +220,15 @@ class StepDistribution:
         """Aggregate a weighted sample into a law (ties merged, zeros dropped)."""
         values = np.asarray(values, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if np.any(weights < -MASS_ATOL):
-            raise InputError("sample weights must be nonnegative")
-        keep = weights > 0.0
-        if not keep.all():
+        if values.ndim != 1 or values.shape != weights.shape:
+            raise InputError("values and weights must be equal-length 1-d arrays")
+        if not (values.size and weights.min() > 0.0):   # else drop the zero weights
+            if np.any(weights < -MASS_ATOL):
+                raise InputError("sample weights must be nonnegative")
+            keep = weights > 0.0
             values, weights = values[keep], weights[keep]
-        if values.size == 0:
-            raise InputError("no positive-mass samples")
+            if values.size == 0:
+                raise InputError("no positive-mass samples")
         # np.unique(return_inverse=True) and np.add.at without their copies:
         # each value's mass sums its weights in sample order
         order = values.argsort()
@@ -228,16 +236,24 @@ class StepDistribution:
         first = np.empty(v.size, dtype=bool)   # first of its value along the order
         first[0] = True
         np.not_equal(v[1:], v[:-1], out=first[1:])
-        run = np.cumsum(first)
-        run -= 1
-        inverse = np.empty_like(run)
-        inverse[order] = run
-        del order, run
-        masses = np.bincount(inverse, weights=weights)
-        del inverse
+        if first.all():
+            masses = weights[order]   # no ties: each mass is its one weight
+        else:
+            run = np.cumsum(first)
+            run -= 1
+            inverse = np.empty_like(run)
+            inverse[order] = run
+            del order, run
+            masses = np.bincount(inverse, weights=weights)
+            del inverse
+            v = v[first]
         masses /= masses.sum()
+        # sorted and unique by construction, positive unless a mass
+        # underflowed, and summing to 1 within rounding
+        if not masses.all():
+            raise InputError("masses must be strictly positive")
         law = object.__new__(cls)
-        law._own(v if masses.size == v.size else v[first], masses)
+        law._keep(v, masses)
         return law
 
     @property

@@ -15,6 +15,7 @@ from selbounds import (
     DiscreteInstance,
     EmptyFile,
     InvertedInterval,
+    NonpositiveWeight,
     ParseError,
     TargetSet,
     aumann_interval,
@@ -258,6 +259,24 @@ class TestBulkParseParity:
         assert _parse_bulk(io.BytesIO(text.encode())) is None
         with pytest.raises(EmptyFile):
             parse_csv(text)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1,1e308\n1,2,1e308\n", "overflows"),   # finite weights, an inf sum
+            ("0,1,inf\n1,2,1\n", "positive and finite"),
+            ("0,1,-1\n1,2,0.5\n", "positive and finite"),
+        ],
+    )
+    def test_bad_weights_are_refused_as_the_line_parser_refuses_them(self, rows, message):
+        # both paths raise the same error and no numpy warning, which the
+        # suite's warnings-as-errors filter would raise in its place
+        text = "lower,upper,weight\n" + rows
+        for parse in (parse_csv, _line_parse):
+            with pytest.raises(NonpositiveWeight, match=message):
+                parse(text)
+        with pytest.raises(NonpositiveWeight, match=message):
+            _parse_bulk(io.BytesIO(text.encode()))   # the bulk pass reads the file
 
 
 def _rows_text(n, seed=5, eol="\n"):

@@ -216,6 +216,83 @@ class TestMomentSolver:
         assert len(calls) == 2
 
 
+class TestMomentSearchBatches:
+    """Each pass of the moment search evaluates CELLS // n segments as one
+    table: every segment at once for small instances, a k-ary search for
+    hundreds of scenarios, and with CELLS = 1 a bisection, one midpoint
+    probe per pass.  All of them must find the same optimum."""
+
+    @staticmethod
+    def instance(rng, r, n):
+        """Continuous or 0.25-grid data with zero-width and tied scenarios;
+        signed for odd r, nonnegative (touching 0) otherwise."""
+        odd = r in (3.0, 5.0)
+        lo = rng.uniform(-1.5, 1.5, n) if odd else rng.uniform(0.0, 1.5, n)
+        if not odd:
+            lo[0] = 0.0
+        width = rng.uniform(0.0, 1.5, n) * (rng.random(n) > 0.2)
+        if rng.random() < 0.5:
+            lo, width = np.round(4 * lo) / 4, np.round(4 * width) / 4
+        src = np.arange(n)
+        src[1:][rng.random(n - 1) < 0.15] -= 1   # a scenario tied to the one before
+        lo, width = lo[src], width[src]
+        w = rng.uniform(0.2, 1.0, n)
+        return DiscreteInstance(lo, lo + width, w / w.sum())
+
+    def test_one_probe_per_pass_finds_the_same_optimum(self, monkeypatch):
+        import selbounds.extensions as ext
+        from selbounds.cli import TOLERANCES
+
+        rng = np.random.default_rng(59)
+        for _ in range(80):
+            r = float(rng.choice([0.5, 1.5, 2.0, 3.0, 4.0, 5.0]))
+            inst = self.instance(rng, r, int(rng.integers(2, 301)))
+            img = power_image_interval(inst, r)
+            if img.width == 0.0:
+                continue
+            # away from the image's edges, where the mean moves by |lam*| per
+            # unit of moment and no endpoint is defined to 1e-14
+            mu = img.lo + float(rng.uniform(0.02, 0.98)) * img.width
+            restriction = MomentRestriction(r, mu)
+            batched = ext._moment_solve(inst, restriction)
+            with monkeypatch.context() as patch:
+                patch.setattr(ext, "CELLS", 1)
+                probed = ext._moment_solve(inst, restriction)
+            mean_scale = max(abs(inst.mean_lower()), abs(inst.mean_upper()), 1e-300)
+            moment_scale = max(abs(img.lo), abs(img.hi), 1e-300)
+            for got, want in zip(probed[0].as_tuple(), batched[0].as_tuple()):
+                assert abs(got - want) <= 1e-14 * mean_scale
+            for _, sides in (batched, probed):
+                for dual, primal, x, theta, rest in sides:
+                    assert abs(dual - primal) <= TOLERANCES["dual_gap"]
+                    moment = theta * float(np.dot(inst.weight, ext._power(x, r)))
+                    moment += (1.0 - theta) * float(np.dot(inst.weight, ext._power(rest, r)))
+                    assert abs(moment - mu) <= 1e-12 * moment_scale
+
+    def test_small_solve_builds_one_table_per_side(self, monkeypatch):
+        # up to 8 scenarios every segment fits one table: one pass per side,
+        # and one dual objective evaluation per side
+        import selbounds.extensions as ext
+
+        tables, evals = [], []
+        real_tables, real_envelope = ext._segment_tables, ext._scenario_envelope
+        monkeypatch.setattr(
+            ext, "_segment_tables", lambda b, probes, sides: tables.extend(sides) or real_tables(b, probes, sides)
+        )
+        monkeypatch.setattr(ext, "_scenario_envelope", lambda *a: evals.append(1) or real_envelope(*a))
+        rng = np.random.default_rng(61)
+        for r in (0.5, 2.0, 3.0, 5.0):
+            for n in (2, 5, 8):
+                lo = rng.uniform(-1.0, 1.0, n) if r in (3.0, 5.0) else rng.uniform(0.0, 1.0, n)
+                inst = DiscreteInstance(lo, lo + rng.uniform(0.1, 1.0, n), np.full(n, 1.0 / n))
+                img = power_image_interval(inst, r)
+                tables.clear()
+                evals.clear()
+                moment_restricted_mean_interval(inst, MomentRestriction(r, img.lo + 0.4 * img.width))
+                assert sorted(tables) == [False, True]
+                assert len(evals) == 2
+
+
 class TestQuantileFeasibility:
     def test_constant_inside(self):
         assert quantile_attainability_range(UNIT, 0.3).contains(0.5)

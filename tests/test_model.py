@@ -72,6 +72,12 @@ class TestNormalize:
         with pytest.raises(NonpositiveWeight):
             normalize(DiscreteInstance([0.0, 1.0], [1.0, 2.0], [1e-300, 1e300]))
 
+    def test_overflowing_total_is_refused_without_a_warning(self):
+        # two finite weights whose sum is inf; the suite runs with warnings
+        # as errors, so numpy's overflow warning would surface instead
+        with pytest.raises(NonpositiveWeight, match="overflows"):
+            normalize(DiscreteInstance([0.0, 1.0], [1.0, 2.0], [1e308, 1e308]))
+
 
 def _unique_law(values, weights):
     """The aggregation ``StepDistribution.from_samples`` made before it
