@@ -20,9 +20,9 @@ requested restriction is infeasible (the report then carries a diagnosis),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import re
@@ -184,79 +184,306 @@ class _Declined(Exception):
 
 
 class _BulkReader:
-    """The lines of a binary CSV stream, as ``np.loadtxt`` pulls them.
+    """The data lines of a binary CSV stream, a piece at a time.
 
     The stream is read once, in chunks, each cut after its last ``\\n`` so
-    that a ``\\r\\n`` never straddles a cut.  Each piece is checked before
-    ``loadtxt`` sees a byte of it: :class:`_Declined` is raised at the first
-    non-ASCII byte, ``\\r`` outside ``\\r\\n`` or other line boundary, when
-    the first line is not a header, and at the end when no data line
-    followed the header.  ``ncols`` is the header's column count.
+    that a ``\\r\\n`` never straddles a cut.  Each piece is checked before it
+    is read: :class:`_Declined` is raised at the first non-ASCII byte,
+    ``\\r`` outside ``\\r\\n`` or other line boundary, when the first line
+    is not a header, and at the end when no data line followed the header.
+    Iterating yields the bytes after the header of every piece that holds a
+    byte other than a line end; ``ncols`` is the header's column count.
     """
 
     def __init__(self, fh):
         self.fh, self.ncols = fh, None
 
     def __iter__(self):
-        # one C-level iterator over every piece's lines (a BytesIO splits at
-        # \n, as numpy does); Python runs once per piece
-        return itertools.chain.from_iterable(self._pieces())
-
-    def _pieces(self):
         held, content = [], False   # held: the bytes after the last cut
         while chunk := self.fh.read(_CHUNK):
             cut = chunk.rfind(b"\n") + 1
             if not cut:
                 held.append(chunk)
                 continue
-            piece = b"".join([*held, chunk[:cut]]) if held else chunk[:cut]
+            piece = b"".join([*held, memoryview(chunk)[:cut]])   # one copy
             held = [chunk[cut:]]
-            content = self._check(piece, content)
-            yield io.BytesIO(piece)
-        piece = b"".join(held)
-        if piece:
-            content = self._check(piece, content)
-            yield io.BytesIO(piece)
+            if data := self._data(piece):
+                content = True
+                yield data
+        if data := self._data(b"".join(held)):
+            content = True
+            yield data
         if not content:
             raise _Declined   # no data line: loadtxt would warn and return nothing
 
-    def _check(self, piece: bytes, content: bool) -> bool:
-        """Raise :class:`_Declined` unless the bulk pass may read ``piece``;
-        returns whether a data line has been seen, this piece included."""
+    def _data(self, piece: bytes) -> bytes:
+        """The bytes of ``piece`` after the header, or ``b""`` when they are
+        line ends only; raises :class:`_Declined` unless the bulk pass may
+        read ``piece``."""
         if (
             not piece.isascii()
             or any(br in piece for br in _OTHER_BREAKS)
             or (b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n"))
         ):
             raise _Declined
-        start = 0
         if self.ncols is None:   # the first piece: its first line is the header
             start = piece.find(b"\n")
             self.ncols = _csv_columns(piece[:start].decode("ascii")) if start >= 0 else None
             if self.ncols is None:
                 raise _Declined   # a file of one line has no data line
-        return content or _CONTENT.search(piece, start) is not None
+            piece = piece[start + 1:]
+        return piece if _CONTENT.search(piece) else b""
+
+
+# One-hot classes of the bytes of a plain decimal cell; any other byte is 0.
+_DIGIT, _MINUS, _PLUS, _DOT, _EXP, _COMMA, _EOL = (1 << i for i in range(7))
+_CLASS = bytes(
+    {
+        **dict.fromkeys(b"0123456789", _DIGIT), **dict.fromkeys(b"eE", _EXP),
+        ord("-"): _MINUS, ord("+"): _PLUS, ord("."): _DOT, ord(","): _COMMA, ord("\n"): _EOL,
+    }.get(b, 0)
+    for b in range(256)
+)
+# the classes that may follow a byte of each class in -?digits[.digits][e[+-]digits]
+_FOLLOW = {
+    _DIGIT: _DIGIT | _DOT | _EXP | _COMMA | _EOL,
+    _MINUS: _DIGIT | _DOT,
+    _PLUS: _DIGIT,
+    _DOT: _DIGIT | _EXP | _COMMA | _EOL,
+    _EXP: _DIGIT | _MINUS | _PLUS,
+    _COMMA: _DIGIT | _MINUS | _DOT,
+    _EOL: _DIGIT | _MINUS | _DOT,
+}
+_FOLLOWERS = np.array([_FOLLOW.get(c, 0) for c in range(128)], np.uint8)   # by class
+# the integer text of plain cells: exponent marks and line ends separate,
+# and dots and signs go
+_INTS = bytes.maketrans(b"eE\n", b",,,")
+# significant mantissa digits and exponent characters that a uint64 always holds
+_MAX_DIGITS, _MAX_EXP_CHARS = 19, 9
+# the decimal exponents k of M * 10**-k with a double-double 10**-k: every
+# product stays normal and finite, so Dekker's product is exact
+_K_LO, _K_HI = -280, 280
+_POW10 = 10.0 ** np.arange(23)   # exact doubles
+_SPLIT = 134217729.0   # 2**27 + 1: Veltkamp's split into two 26-bit halves
+
+
+def _halves(a):
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _inverse_tens():
+    """Rows hi, lo and hi's halves of 10**-k = hi + lo for k in [_K_LO,
+    _K_HI], hi and lo each correctly rounded (lo the remainder, from exact
+    integers)."""
+    hi, lo = [], []
+    for k in range(_K_LO, _K_HI + 1):
+        num, den = (1, 10**k) if k >= 0 else (10**-k, 1)
+        h = num / den
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    return np.stack([hi, lo, *_halves(hi)])
+
+
+def _scaled(m, k):
+    """M * 10**-k for uint64 mantissas M < 10**19, and where that double is
+    certain to be the correctly rounded value.
+
+    With M = mh + ml and 10**-k = th + tl (each part correctly rounded),
+    the product is p + t: p + e = mh * th exactly (Dekker 1971) and t = e +
+    mh * tl + ml * th.  It is off the true value by at most about 13 u^2
+    |p|, u = 2**-53 (the rounding of t's three terms, the dropped ml * tl
+    and the table's error, with |ml| <= 2u |mh| however M is rounded),
+    less than d = 2**-100 |v| for v = p + t rounded.  With r = p + t - v,
+    exact by Fast2Sum, v is certain where v + (r - d) and v + (r + d)
+    round to one double, then v: rounding is monotonic.
+    """
+    row = np.minimum(np.maximum(k, _K_LO), _K_HI)
+    inside = row == k
+    row -= _K_LO
+    th, tl, bh, bl = _inverse_tens()[:, row]
+    del row
+    mh = m.astype(float)
+    ml = (m - mh.astype(np.uint64)).view(np.int64).astype(float)   # wraps to the signed rest
+    p = mh * th
+    ah, al = _halves(mh)
+    t = ah * bh   # Dekker's error term, summed in his order
+    t -= p
+    t += ah * bl
+    t += al * bh
+    t += al * bl
+    del ah, al, bh, bl
+    mh *= tl
+    ml *= th
+    mh += ml
+    t += mh
+    del th, tl, mh, ml
+    v = p + t
+    p -= v
+    t += p   # r = t - (v - p), the exact rest
+    d = v * 2.0**-100
+    inside &= v + (t - d) == v + (t + d)
+    return v, inside
+
+
+def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
+    """The (rows, ncols) cells of data lines that hold only plain decimals
+    ``-?digits[.digits][e[+-]digits]`` with a mantissa digit, split by
+    commas and ending in ``\\n`` or ``\\r\\n``; None for any other bytes (a
+    blank line, a padded cell, a ``+`` mantissa, ``inf``).
+
+    Every value is the double ``float`` reads (Clinger 1990): one exact
+    integer read of the mantissas M and exponents, then M / 10**k for M <
+    2**53 and 0 <= k <= 22, else :func:`_scaled`'s double-double product.
+    ``float`` reads a cell with more than 19 significant mantissa digits or
+    a long exponent, or whose product is not certain; the integer read sees
+    such a cell's digits as zeros, so no integer overflows.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    raw = np.frombuffer(data, np.uint8)
+    # the bytes that are not digits, and their classes: a digit may follow
+    # any class and precede any but a sign, so the table checks the pairs
+    # with no digit between them, and a sign must be one of their right ends
+    nondigit = raw - ord("0")   # past 9 for any byte but a digit
+    at = np.flatnonzero(np.greater(nondigit, 9, out=nondigit.view(bool)))
+    del nondigit
+    kinds = np.frombuffer(raw[at].tobytes().translate(_CLASS), np.uint8)
+    pairs = np.flatnonzero(np.diff(at) == 1)
+    if not (
+        kinds.all()
+        and (_FOLLOWERS[kinds[pairs]] & kinds[pairs + 1]).all()
+        and (at[0] > 0 or kinds[0] & _FOLLOWERS[_EOL])
+    ):
+        return None
+    signed = not (kinds >= _DOT).all()
+    if signed:
+        sign = np.flatnonzero(kinds < _DOT)
+        if not (at[sign] - np.where(sign > 0, at[sign - 1], -1) == 1).all():
+            return None
+        marks = kinds >= _DOT
+        at, kinds = at[marks], kinds[marks]
+    # the marks left are dots, exponent marks and separators.  Per cell:
+    # its bytes [start, end), its mantissa [start, mend) and whether it has
+    # a dot (the mark before mend) and an exponent (the mark before end); a
+    # cell with any other mark (a second dot) makes the count differ
+    if kinds.size % 2 == 0 and (kinds[::2] == _DOT).all():
+        # every cell is digits, a dot and digits, as repr writes most doubles
+        seps, end, dot = kinds[1::2], at[1::2].copy(), at[::2]   # at is freed below
+        mend, dotted, ex = end, 1, np.empty(0, np.intp)
+    else:
+        mark = np.flatnonzero(kinds >= _COMMA)
+        seps, end = kinds[mark], at[mark]
+        expo = kinds[mark - 1] == _EXP   # index -1 is the last line end
+        mark -= expo
+        mend = at[mark]
+        mark -= 1
+        dotted = kinds[mark] == _DOT
+        if kinds.size != end.size + np.count_nonzero(dotted) + np.count_nonzero(expo):
+            return None
+        dot, ex = at[mark], np.flatnonzero(expo)
+    # rows of ncols cells
+    seps = seps.reshape(-1, ncols) if seps.size % ncols == 0 else None
+    if seps is None or not ((seps[:, :-1] == _COMMA).all() and (seps[:, -1] == _EOL).all()):
+        return None
+    start = np.empty_like(end)
+    start[0] = 0
+    start[1:] = end[:-1] + 1
+    digits = mend - start
+    digits -= dotted
+    neg = raw[start] == ord("-") if signed else None
+    if signed:
+        digits -= neg
+    if not (digits > 0).all():
+        return None
+    k = mend - dot   # the digits after the dot
+    k -= 1
+    k *= dotted
+    del at, kinds, dot, dotted
+    long_m = np.flatnonzero(digits > _MAX_DIGITS)
+    if long_m.size:   # leading zeros do not count: 0.00 then 17 digits fits
+        long_m = long_m[[
+            len(data[a:b].lstrip(b"-0.").replace(b".", b"")) > _MAX_DIGITS
+            for a, b in zip(start[long_m].tolist(), mend[long_m].tolist())
+        ]]
+    long_e = ex[end[ex] - mend[ex] - 1 > _MAX_EXP_CHARS]
+    minus_e = raw[mend[ex] + 1] == ord("-") if signed else None
+    text = data
+    if long_m.size or long_e.size:   # the integer read sees their digits as zeros
+        lo = np.concatenate([start[long_m], mend[long_e] + 1])
+        size = np.concatenate([mend[long_m], end[long_e]]) - lo
+        first = np.cumsum(size) - size   # each span's first place in the list of their bytes
+        text = bytearray(data)
+        np.frombuffer(text, np.uint8)[np.repeat(lo - first, size) + np.arange(size.sum())] = ord("0")
+        text = bytes(text)
+    del start, mend, digits
+    # a cell's tokens: its mantissa, then its exponent if it has one
+    m = np.fromstring(text.translate(_INTS, b".-+"), dtype=np.uint64, count=end.size + ex.size, sep=",")
+    del text
+    if ex.size:
+        at_exp = ex + np.arange(1, ex.size + 1)
+        power = m[at_exp].astype(np.int64)
+        if signed:
+            np.negative(power, out=power, where=minus_e)
+        k[ex] -= power
+        m = np.delete(m, at_exp)
+    v = m / np.take(_POW10, k, mode="clip")
+    slow = np.flatnonzero((m >= 1 << 53) | (k < 0) | (k > 22))
+    v[slow], exact = _scaled(m[slow], k[slow])
+    if signed:
+        np.copysign(v, -1.0, out=v, where=neg)
+    for c in np.concatenate([long_m, long_e, slow[~exact]]).tolist():
+        v[c] = float(data[end[c - 1] + 1 if c else 0:end[c]])
+    return v.reshape(-1, ncols)
+
+
+def _piece_cells(data: bytes, ncols: int) -> np.ndarray:
+    """The (rows, ncols) cells of a piece's data lines: plain decimals read
+    by :func:`_plain_cells`, the rest by ``np.loadtxt``; ValueError where
+    the line parser must decide."""
+    cells = _plain_cells(data, ncols)
+    if cells is None:
+        cells = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
+        if cells.shape[1] != ncols:
+            raise ValueError("ragged rows")
+    return cells
 
 
 def _parse_bulk(fh) -> DiscreteInstance | None:
-    """The instance from one ``np.loadtxt`` pass over a binary stream, or
-    None where that pass could read it differently from :func:`_parse_lines`.
+    """The instance from one bulk pass over a binary stream, or None where
+    that pass could read it differently from :func:`_parse_lines`.
 
     The pass takes only ASCII whose lines end in ``\\n`` or ``\\r\\n``, so
-    numpy and ``str.splitlines`` split it at the same places; both strip the
-    same whitespace around cells, and numpy skips empty lines as the line
-    parser does.  Everything else the line parser accepts or rejects on its
-    own makes ``loadtxt`` raise, or is caught by :class:`_BulkReader` or
-    below: a comment or whitespace-only line, a ragged row, a cell
-    ``float`` reads and numpy does not (``1_0``), a header not on the first
-    line, no data line, an inverted row.
+    it and ``str.splitlines`` split it at the same places.  Plain decimal
+    pieces read exactly as ``float`` reads them; ``np.loadtxt`` reads the
+    rest, and strips the same whitespace around cells and skips empty lines
+    as the line parser does.  Everything else the line parser accepts or
+    rejects on its own makes ``loadtxt`` raise, or is caught by
+    :class:`_BulkReader` or below: a comment or whitespace-only line, a
+    ragged row, a cell ``float`` reads and numpy does not (``1_0``), a
+    header not on the first line, no data line, an inverted row.
     """
     reader = _BulkReader(fh)
+    # one array, grown in place as the pieces come: a list of pieces to
+    # join would fragment the heap under the pieces' own temporaries
+    cells, rows = np.empty(0), 0
     try:
-        cells = np.loadtxt(reader, delimiter=",", comments=None, skiprows=1, ndmin=2)
+        for data in reader:
+            block = _piece_cells(data, reader.ncols)
+            if rows + len(block) > len(cells):
+                cells.resize((max(2 * len(cells), rows + len(block)), reader.ncols), refcheck=False)
+            cells[rows:rows + len(block)] = block
+            rows += len(block)
     except (_Declined, ValueError):
         return None
-    if cells.shape[1] != reader.ncols or np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
+    cells.resize((rows, reader.ncols), refcheck=False)
+    if np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
         return None
     # one instance, its weights divided as normalize divides them: by the sum
     # of a contiguous copy, which is what its total_mass would sum

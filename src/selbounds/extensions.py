@@ -23,6 +23,7 @@ quantile constraint pins P(y < q) strictly below alpha.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -187,13 +188,31 @@ class _Table(NamedTuple):
     reached: np.ndarray
 
 
+@functools.cache
+def _tie_root(n: int) -> float:
+    """The double nearest the root z in (0, 1) of (n-1) z^n + n z^(n-1) = 1,
+    for odd n >= 3: bisection over doubles, each sign taken exactly from
+    integers (z = p / q), then the nearer of the two doubles left."""
+
+    def reaches(p: int, q: int) -> bool:   # (n-1) z^n + n z^(n-1) >= 1 at z = p / q
+        return (n - 1) * p**n + n * p ** (n - 1) * q >= q**n
+
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if reaches(*mid.as_integer_ratio()):
+            hi = mid
+        else:
+            lo = mid
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return lo if reaches(a * d + c * b, 2 * b * d) else hi
+
+
 def _breakpoints(w, lo, hi, r: float) -> _Breaks:
     """lo^r, hi^r and the sorted breakpoints, built once per solve."""
     lo_r, hi_r = _power(lo, r), _power(hi, r)
     scales, odd = [1.0], _is_odd_integer(r)
     if odd:
-        z = np.roots([r - 1.0, r] + [0.0] * (int(r) - 2) + [-1.0])
-        scales.append(z.real[(abs(z.imag) < 1e-9) & (z.real > 0.0)][0])
+        scales.append(_tie_root(int(r)))
     # every cut is written in place into one array; a zero t or a narrow
     # scenario writes -inf, -0.0 or 0.0, which the slice below drops, and
     # the extra last slot holds the 0 that closes the last segment
@@ -319,16 +338,14 @@ def _moment_optima(w, lo, hi, r: float, mu: float):
     """lam*, the optimizers, their fraction and the rest, of the min and the
     max side (see :func:`_moment_optimum`).  Both sides search one build of
     the breakpoints and take their first tables from one call, since they
-    probe the same segments first; the optimizers are built from the rows
-    found once the breakpoints are freed."""
+    probe the same segments first; each side takes its table out of the
+    list, so that it lives only while read, and the optimizers are built
+    from the rows found once the breakpoints are freed."""
     b = _breakpoints(w, lo, hi, r)
     batch = max(1, CELLS // lo.size)
     probes = _probes(0, b.ends.size, batch)
     firsts = _segment_tables(b, probes, (False, True))
-    found = [
-        _moment_optimum(b, mu, maximize, batch, probes, first)
-        for maximize, first in zip((False, True), firsts)
-    ]
+    found = [_moment_optimum(b, mu, maximize, batch, probes, firsts) for maximize in (False, True)]
     del b
     out = []
     for lam, theta, x_mid, row, rest in found:
@@ -337,9 +354,9 @@ def _moment_optima(w, lo, hi, r: float, mu: float):
     return out
 
 
-def _moment_optimum(b: _Breaks, mu: float, maximize: bool, batch: int, probes, table: _Table):
-    """lam* <= 0 and the optimizers of x + lam* x^r on one side, from the
-    table of the first pass at ``probes``.
+def _moment_optimum(b: _Breaks, mu: float, maximize: bool, batch: int, probes, firsts: list):
+    """lam* <= 0 and the optimizers of x + lam* x^r on one side, from its
+    table of the first pass at ``probes``, the first of ``firsts``.
 
     A scenario's optimizer switches only where the stationary point t meets
     |lower| or |upper|, where the endpoints tie (lam = -(upper - lower) /
@@ -351,20 +368,21 @@ def _moment_optimum(b: _Breaks, mu: float, maximize: bool, batch: int, probes, t
     there, monotone in lam across segments.  The search wants the first
     segment whose right end reaches mu (the last one counts as reaching).
     Each pass evaluates ``batch`` = CELLS // n open segments, spread evenly,
-    as one table, and keeps the rows of the first that reaches and of the
-    one before it: up to about 30 scenarios one table holds every segment,
-    a few hundred take two or three passes, and from CELLS / 2 scenarios
-    each pass probes the midpoint, a bisection.  The segment found is solved in closed form from its row; at
-    a jump, its optimizers and those of the row before mix with one
-    fraction.  Returns lam*, the fraction theta, sign*t, and the (table,
-    row) of the optimizers and of the rest (None: the rest are the
-    optimizers).
+    as one table, and keeps only the tables of the first that reaches and
+    of the one before it: up to about 30 scenarios one table holds every
+    segment, a few hundred take two or three passes, and from
+    CELLS / 2 scenarios each pass probes the midpoint, a bisection.  The
+    segment found is solved in closed form from its row; at a jump, its
+    optimizers and those of the row before mix with one fraction.  Returns
+    lam*, the fraction theta, sign*t, and the (table, row) of the
+    optimizers and of the rest (None: the rest are the optimizers).
     """
     r, ends = b.r, b.ends
     sign = -1.0 if b.odd and not maximize else 1.0
     last = ends.size - 1
     lo_j, hi_j = 0, last + 1   # the first reaching segment lies in [lo_j, hi_j]
     below = above = None       # (table, row) of segments lo_j - 1 and hi_j
+    table = firsts.pop(0)
     while True:
         reached = table.reached
         reach = np.greater_equal(reached, mu) if maximize else np.less_equal(reached, mu)
@@ -380,6 +398,7 @@ def _moment_optimum(b: _Breaks, mu: float, maximize: bool, batch: int, probes, t
         if lo_j == hi_j:
             break
         probes = _probes(lo_j, hi_j, batch)
+        del table, reached   # kept only through below and above
         (table,) = _segment_tables(b, probes, (maximize,))
     j, (table, i) = hi_j, above
     lam, c, big_w = _row(b, table, i)

@@ -1,9 +1,12 @@
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,6 +372,116 @@ class TestStreamedIngest:
         # chunks of the default size, then the empty read at the end
         assert len(reads) == -(-path.stat().st_size // (1 << 18)) + 1
         assert all(a == (1 << 18,) for a in reads)
+
+
+@st.composite
+def plain_decimals(draw):
+    """A cell of the plain-decimal grammar -?digits[.digits][e[+-]digits]
+    that reads as a double of magnitude at most 1e300: ``repr`` of a
+    double, a short spelling, or a mantissa of up to 40 digits, leading
+    zeros included, with or without an exponent."""
+    kind = draw(st.sampled_from(["repr", "short", "composed", "composed"]))
+    if kind == "repr":
+        return repr(draw(st.floats(-1e300, 1e300)))
+    if kind == "short":
+        return draw(st.sampled_from(["-0.0", "-0", ".5", "5.", "-.25", "007", "0.000", "00.50", "1e0", "0e-400"]))
+    whole, frac = draw(st.text("0123456789", max_size=20)), draw(st.text("0123456789", max_size=20))
+    mantissa = whole + ("." + frac if draw(st.booleans()) else frac)
+    if not whole + frac:
+        mantissa = "0"
+    cell = draw(st.sampled_from(["", "-"])) + mantissa
+    if draw(st.booleans()):
+        exp = draw(st.integers(-330, 330))
+        cell += draw(st.sampled_from("eE")) + ("+" if exp >= 0 and draw(st.booleans()) else "") + str(exp)
+    # endpoints of opposite signs near the overflow threshold make the
+    # instance's inversion check overflow, on every parse path
+    return cell if abs(float(cell)) <= 1e300 else mantissa.replace(".", "")[:3] or "0"
+
+
+@st.composite
+def plain_csv_files(draw):
+    """The bytes of a CSV file of plain decimal rows, lower <= upper."""
+    ncols = draw(st.sampled_from([2, 3]))
+    lines = [",".join(["lower", "upper", "weight"][:ncols])]
+    for _ in range(draw(st.integers(1, 20))):
+        ends = sorted([draw(plain_decimals()), draw(plain_decimals())], key=float)
+        weight = draw(st.integers(1, 10**6)) / 10 ** draw(st.integers(0, 8))
+        lines.append(",".join([*ends, draw(st.sampled_from([repr(weight), f"{weight:.6e}"]))][:ncols]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return (eol.join(lines) + (eol if draw(st.booleans()) else "")).encode()
+
+
+def _midpoint_corpus() -> list[str]:
+    """Decimals at or next to the midpoint of two adjacent doubles.
+
+    Midpoints of doubles between 2**50 and 10**18 are exact decimals of at
+    most 19 digits (odd integers, or ending in .5, .25 or .125), which the
+    scaled product cannot settle on either side; written with a dot or an
+    exponent or neither, and plus and minus one in the last digit.
+    Midpoints of doubles across the range, written to 17 to 19 digits,
+    plus and minus one in the last digit, lie next to theirs.
+    """
+    rng = np.random.default_rng(20)
+    cells = []
+    for a in rng.uniform(2.0**53, 1e18, 300):
+        mid = int(a) + int(np.spacing(a)) // 2
+        for m in map(str, (mid - 1, mid, mid + 1)):
+            cells += [m, m + ".0", f"{m[0]}.{m[1:]}e{len(m) - 1}"]
+    for a in rng.uniform(2.0**50, 2.0**53, 300):
+        mid = Decimal(float(a)) + Decimal(float(np.spacing(a))) / 2
+        unit = Decimal(1).scaleb(mid.as_tuple().exponent)
+        cells += [str(mid + d * unit) for d in (-1, 0, 1)]
+    for a in rng.uniform(1.0, 2.0, 300) * 10.0 ** rng.integers(-300, 300, 300):
+        mid = (Decimal(float(a)) + Decimal(float(np.nextafter(a, np.inf)))) / 2
+        for digits in (17, 18, 19):
+            mantissa, exp = f"{mid:.{digits - 1}e}".split("e")
+            m = int(mantissa.replace(".", ""))
+            cells += [f"{m + d}e{int(exp) - digits + 1}" for d in (-1, 0, 1)]
+    return cells
+
+
+class TestPlainDecimalReader:
+    """Plain decimal cells are read from their integer mantissas and one
+    exact power-of-ten scaling, to the bits ``float`` reads."""
+
+    @given(plain_csv_files())
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_pass_reads_the_line_parser_bits(self, data):
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt was called")):
+            bulk = _parse_bulk(io.BytesIO(data))
+        lines = _parse_lines(data.decode().splitlines())
+        for a, b in ((bulk.lower, lines.lower), (bulk.upper, lines.upper), (bulk.weight, lines.weight)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_near_halfway_decimals_read_as_float_reads_them(self, monkeypatch):
+        cells = _midpoint_corpus()
+        uncertain, real_scaled = [], cli_module._scaled
+
+        def scaled(m, k):
+            v, exact = real_scaled(m, k)
+            uncertain.extend(m[~exact & (k >= cli_module._K_LO) & (k <= cli_module._K_HI)].tolist())
+            return v, exact
+
+        monkeypatch.setattr(cli_module, "_scaled", scaled)
+        inst = parse_csv(("lower,upper\n" + "".join(f"{c},{c}\n" for c in cells)).encode())
+        want = np.array([float(c) for c in cells])
+        assert np.array_equal(inst.lower.view(np.int64), want.view(np.int64))
+        assert uncertain   # products within the error bound of a midpoint went to float
+
+    def test_plain_files_do_not_reach_loadtxt(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt was called")
+
+        rng = np.random.default_rng(4)
+        lower = rng.uniform(-1e-3, 1e-3, 3000)
+        upper, weight = lower + rng.exponential(1.0, lower.size), rng.uniform(0.1, 1.0, lower.size)
+        rows = [f"{a:.6e},{b!r},{w:.3E}" for a, b, w in zip(lower.tolist(), upper.tolist(), weight.tolist())]
+        text = "\r\n".join(["lower,upper,weight", *rows, "-1E+2,-5.e-1,5", ".25,2.,1e0"]) + "\r\n"
+        want = _outcome(_line_parse, text)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert _outcome(parse_csv, text.encode()) == want
+        with pytest.raises(AssertionError, match="loadtxt"):
+            parse_csv(b"lower,upper\n 0.5,1\n")   # a padded cell is numpy's to read
 
 
 class TestWorkingSet:

@@ -202,6 +202,22 @@ class TestMomentSolver:
         with pytest.raises(InputError):
             moment_selection(UNIT, MomentRestriction(2.0, 0.25), "upper")
 
+    @pytest.mark.parametrize("r", [3, 5, 7, 9])
+    def test_tie_root_is_the_nearest_double(self, r):
+        # (r-1) z^r + r z^(r-1) = 1 on (0, 1), bisected to 60 digits
+        from decimal import Decimal, localcontext
+
+        from selbounds.extensions import _tie_root
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            lo, hi = Decimal(0), Decimal(1)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if (r - 1) * mid**r + r * mid ** (r - 1) >= 1 else (mid, hi)
+            assert _tie_root(r) == float(lo)
+        assert _tie_root(3) == 0.5
+
     def test_two_objective_evaluations(self, monkeypatch):
         # the multipliers come from the sorted breakpoints; the dual
         # objective is evaluated once per side, at its multiplier
@@ -268,6 +284,30 @@ class TestMomentSearchBatches:
                     moment = theta * float(np.dot(inst.weight, ext._power(x, r)))
                     moment += (1.0 - theta) * float(np.dot(inst.weight, ext._power(rest, r)))
                     assert abs(moment - mu) <= 1e-12 * moment_scale
+
+    def test_search_keeps_only_the_tables_it_reads(self, monkeypatch):
+        # with one probe per pass, a pass starts with at most four one-row
+        # tables alive: the min side's two once it is done, and the
+        # searching side's on either side of its bracket
+        import weakref
+
+        import selbounds.extensions as ext
+
+        made, alive = [], []
+        real = ext._segment_tables
+
+        def tables(b, probes, sides):
+            alive.append(sum(ref() is not None for ref in made))
+            out = real(b, probes, sides)
+            made.extend(weakref.ref(t.up.base if t.up.base is not None else t.up) for t in out)
+            return out
+
+        monkeypatch.setattr(ext, "_segment_tables", tables)
+        monkeypatch.setattr(ext, "CELLS", 1)
+        inst = self.instance(np.random.default_rng(67), 2.0, 2000)
+        img = power_image_interval(inst, 2.0)
+        moment_restricted_mean_interval(inst, MomentRestriction(2.0, img.lo + 0.37 * img.width))
+        assert len(alive) > 10 and max(alive) <= 4
 
     def test_small_solve_builds_one_table_per_side(self, monkeypatch):
         # up to 8 scenarios every segment fits one table: one pass per side,
