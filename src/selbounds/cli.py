@@ -334,14 +334,14 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
     """The (rows, ncols) cells of data lines that hold only plain decimals
     ``-?digits[.digits][e[+-]digits]`` with a mantissa digit, split by
     commas and ending in ``\\n`` or ``\\r\\n``; None for any other bytes (a
-    blank line, a padded cell, a ``+`` mantissa, ``inf``).
+    blank line, a padded cell, a ``+`` mantissa, ``inf``) and for more
+    significant mantissa digits or exponent characters than a uint64 always
+    holds.
 
     Every value is the double ``float`` reads (Clinger 1990): one exact
     integer read of the mantissas M and exponents, then M / 10**k for M <
     2**53 and 0 <= k <= 22, else :func:`_scaled`'s double-double product.
-    ``float`` reads a cell with more than 19 significant mantissa digits or
-    a long exponent, or whose product is not certain; the integer read sees
-    such a cell's digits as zeros, so no integer overflows.
+    ``float`` reads a cell whose product is not certain.
     """
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
@@ -373,21 +373,16 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
     # its bytes [start, end), its mantissa [start, mend) and whether it has
     # a dot (the mark before mend) and an exponent (the mark before end); a
     # cell with any other mark (a second dot) makes the count differ
-    if kinds.size % 2 == 0 and (kinds[::2] == _DOT).all():
-        # every cell is digits, a dot and digits, as repr writes most doubles
-        seps, end, dot = kinds[1::2], at[1::2].copy(), at[::2]   # at is freed below
-        mend, dotted, ex = end, 1, np.empty(0, np.intp)
-    else:
-        mark = np.flatnonzero(kinds >= _COMMA)
-        seps, end = kinds[mark], at[mark]
-        expo = kinds[mark - 1] == _EXP   # index -1 is the last line end
-        mark -= expo
-        mend = at[mark]
-        mark -= 1
-        dotted = kinds[mark] == _DOT
-        if kinds.size != end.size + np.count_nonzero(dotted) + np.count_nonzero(expo):
-            return None
-        dot, ex = at[mark], np.flatnonzero(expo)
+    mark = np.flatnonzero(kinds >= _COMMA)
+    seps, end = kinds[mark], at[mark]
+    expo = kinds[mark - 1] == _EXP   # index -1 is the last line end
+    mark -= expo
+    mend = at[mark]
+    mark -= 1
+    dotted = kinds[mark] == _DOT
+    if kinds.size != end.size + np.count_nonzero(dotted) + np.count_nonzero(expo):
+        return None
+    dot, ex = at[mark], np.flatnonzero(expo)
     # rows of ncols cells
     seps = seps.reshape(-1, ncols) if seps.size % ncols == 0 else None
     if seps is None or not ((seps[:, :-1] == _COMMA).all() and (seps[:, -1] == _EOL).all()):
@@ -400,32 +395,25 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
     neg = raw[start] == ord("-") if signed else None
     if signed:
         digits -= neg
-    if not (digits > 0).all():
+    if not (digits > 0).all() or (end[ex] - mend[ex] - 1 > _MAX_EXP_CHARS).any():
         return None
+    long = np.flatnonzero(digits > _MAX_DIGITS)
+    if long.size:
+        # leading zeros do not count: a long cell has too many significant
+        # digits where a nonzero digit comes before its 20th-last one
+        lo, hi = start[long], mend[long] - _MAX_DIGITS
+        hi -= dotted[long] & (dot[long] >= hi - 1)   # a dot among the last 20
+        size = hi - lo
+        first = np.cumsum(size) - size   # each span's first place in the list of their bytes
+        if (raw[np.repeat(lo - first, size) + np.arange(size.sum())] - ord("1") < 9).any():
+            return None
     k = mend - dot   # the digits after the dot
     k -= 1
     k *= dotted
-    del at, kinds, dot, dotted
-    long_m = np.flatnonzero(digits > _MAX_DIGITS)
-    if long_m.size:   # leading zeros do not count: 0.00 then 17 digits fits
-        long_m = long_m[[
-            len(data[a:b].lstrip(b"-0.").replace(b".", b"")) > _MAX_DIGITS
-            for a, b in zip(start[long_m].tolist(), mend[long_m].tolist())
-        ]]
-    long_e = ex[end[ex] - mend[ex] - 1 > _MAX_EXP_CHARS]
     minus_e = raw[mend[ex] + 1] == ord("-") if signed else None
-    text = data
-    if long_m.size or long_e.size:   # the integer read sees their digits as zeros
-        lo = np.concatenate([start[long_m], mend[long_e] + 1])
-        size = np.concatenate([mend[long_m], end[long_e]]) - lo
-        first = np.cumsum(size) - size   # each span's first place in the list of their bytes
-        text = bytearray(data)
-        np.frombuffer(text, np.uint8)[np.repeat(lo - first, size) + np.arange(size.sum())] = ord("0")
-        text = bytes(text)
-    del start, mend, digits
+    del at, kinds, dot, dotted, start, mend, digits
     # a cell's tokens: its mantissa, then its exponent if it has one
-    m = np.fromstring(text.translate(_INTS, b".-+"), dtype=np.uint64, count=end.size + ex.size, sep=",")
-    del text
+    m = np.fromstring(data.translate(_INTS, b".-+"), dtype=np.uint64, count=end.size + ex.size, sep=",")
     if ex.size:
         at_exp = ex + np.arange(1, ex.size + 1)
         power = m[at_exp].astype(np.int64)
@@ -438,7 +426,7 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
     v[slow], exact = _scaled(m[slow], k[slow])
     if signed:
         np.copysign(v, -1.0, out=v, where=neg)
-    for c in np.concatenate([long_m, long_e, slow[~exact]]).tolist():
+    for c in slow[~exact].tolist():
         v[c] = float(data[end[c - 1] + 1 if c else 0:end[c]])
     return v.reshape(-1, ncols)
 

@@ -377,25 +377,24 @@ class TestStreamedIngest:
 @st.composite
 def plain_decimals(draw):
     """A cell of the plain-decimal grammar -?digits[.digits][e[+-]digits]
-    that reads as a double of magnitude at most 1e300: ``repr`` of a
-    double, a short spelling, or a mantissa of up to 40 digits, leading
-    zeros included, with or without an exponent."""
+    that reads as a finite double: ``repr`` of a double, a short spelling,
+    or a mantissa of up to 19 digits after any number of leading zeros,
+    with or without an exponent."""
     kind = draw(st.sampled_from(["repr", "short", "composed", "composed"]))
     if kind == "repr":
-        return repr(draw(st.floats(-1e300, 1e300)))
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
     if kind == "short":
         return draw(st.sampled_from(["-0.0", "-0", ".5", "5.", "-.25", "007", "0.000", "00.50", "1e0", "0e-400"]))
-    whole, frac = draw(st.text("0123456789", max_size=20)), draw(st.text("0123456789", max_size=20))
+    whole = draw(st.text("0123456789", max_size=19))
+    frac = draw(st.text("0123456789", max_size=19 - len(whole)))
     mantissa = whole + ("." + frac if draw(st.booleans()) else frac)
     if not whole + frac:
         mantissa = "0"
-    cell = draw(st.sampled_from(["", "-"])) + mantissa
+    cell = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from(["", "0", "000000"])) + mantissa
     if draw(st.booleans()):
         exp = draw(st.integers(-330, 330))
         cell += draw(st.sampled_from("eE")) + ("+" if exp >= 0 and draw(st.booleans()) else "") + str(exp)
-    # endpoints of opposite signs near the overflow threshold make the
-    # instance's inversion check overflow, on every parse path
-    return cell if abs(float(cell)) <= 1e300 else mantissa.replace(".", "")[:3] or "0"
+    return cell if math.isfinite(float(cell)) else cell.lower().partition("e")[0]
 
 
 @st.composite
@@ -404,7 +403,12 @@ def plain_csv_files(draw):
     ncols = draw(st.sampled_from([2, 3]))
     lines = [",".join(["lower", "upper", "weight"][:ncols])]
     for _ in range(draw(st.integers(1, 20))):
-        ends = sorted([draw(plain_decimals()), draw(plain_decimals())], key=float)
+        ends = [draw(plain_decimals()), draw(plain_decimals())]
+        if max(abs(float(e)) for e in ends) > 1e300:
+            # endpoints of opposite signs near the overflow threshold make
+            # the instance's inversion check overflow, on every parse path
+            ends = [e.lstrip("-") for e in ends]
+        ends.sort(key=float)
         weight = draw(st.integers(1, 10**6)) / 10 ** draw(st.integers(0, 8))
         lines.append(",".join([*ends, draw(st.sampled_from([repr(weight), f"{weight:.6e}"]))][:ncols]))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
@@ -476,12 +480,21 @@ class TestPlainDecimalReader:
         lower = rng.uniform(-1e-3, 1e-3, 3000)
         upper, weight = lower + rng.exponential(1.0, lower.size), rng.uniform(0.1, 1.0, lower.size)
         rows = [f"{a:.6e},{b!r},{w:.3E}" for a, b, w in zip(lower.tolist(), upper.tolist(), weight.tolist())]
-        text = "\r\n".join(["lower,upper,weight", *rows, "-1E+2,-5.e-1,5", ".25,2.,1e0"]) + "\r\n"
+        tail = [
+            "-1E+2,-5.e-1,5",
+            ".25,2.,1e0",
+            "-0.000123456789012345678,01.234567890123456789,0000000000000000000001",   # 18 and 19 significant digits
+        ]
+        text = "\r\n".join(["lower,upper,weight", *rows, *tail]) + "\r\n"
         want = _outcome(_line_parse, text)
         monkeypatch.setattr(np, "loadtxt", refuse)
         assert _outcome(parse_csv, text.encode()) == want
-        with pytest.raises(AssertionError, match="loadtxt"):
-            parse_csv(b"lower,upper\n 0.5,1\n")   # a padded cell is numpy's to read
+        # a padded cell, and mantissas and exponents longer than a uint64
+        # holds, are numpy's to read
+        long = ["0.0012345678901234567890", "-12345678901234567890", "1.2345678901234567890e-5", "1.5e0000000001"]
+        for cell in [" 0.5", *long]:
+            with pytest.raises(AssertionError, match="loadtxt"):
+                parse_csv(f"lower,upper\n{cell},{cell}\n".encode())
 
 
 class TestWorkingSet:
