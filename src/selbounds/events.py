@@ -226,9 +226,9 @@ def _span(instance: DiscreteInstance, prof: GapProfile, bound: str):
     return np.where(on, low, instance.lower), np.where(on, high, instance.upper)
 
 
-def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above: bool, fills):
+def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above: bool):
     """The fill of U (``"sup"``) or L (``"inf"``) above or below its slack
-    span, sorted once; kept in ``fills`` when that is a dict.
+    span, sorted once.
 
     U starts from the upper endpoints and pulls hit scenarios down onto
     a_plus (above), or from the lower ones and pushes them up onto a_minus
@@ -237,8 +237,6 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
     a_plus - out_high above, out_low - a_minus below.  The infimum may be
     unattained (complement extremes are closure points); its value is exact.
     """
-    if fills is not None and (bound, above) in fills:
-        return fills[bound, above]
     if bound == "sup":
         idx = np.flatnonzero(prof.hit)
         g = prof._gap(above, idx)
@@ -256,16 +254,13 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
     cost = g * w
     order, _, sorted_cost, cum_cost = _sort_fill(-g if bound == "inf" else g, cost)
     weight = w[order]
-    fill = _MeanFill(
+    return _MeanFill(
         idx[order], weight, sorted_cost, cum_cost, np.cumsum(weight), float(np.dot(g, w)),
         float(cost.sum()), int(np.count_nonzero(g == 0.0)), base,
     )
-    if fills is not None:
-        fills[bound, above] = fill
-    return fill
 
 
-def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas, fills) -> np.ndarray:
+def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas) -> np.ndarray:
     """U (``"sup"``) or L (``"inf"``) at each clipped kappa.
 
     Inside the slack span (within tolerance) U counts every hit scenario
@@ -280,7 +275,7 @@ def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas, fil
     out = np.full(kappas.shape, slack)
     for side, at in ((True, kappas > hi + _ATOL), (False, kappas < lo - _ATOL)):
         if at.any():
-            fill = _regime_fill(instance, prof, bound, side, fills)
+            fill = _regime_fill(instance, prof, bound, side)
             out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]))[2]
     return out
 
@@ -300,7 +295,7 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
     return Calibration(lam, Selection.from_cells(*cells), prob)
 
 
-def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills=None):
+def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float):
     """:func:`calibrate_mean` on a built profile and a clipped kappa, from
     the fill that gives U, so its probability is U(kappa) exactly.  Returns
     lambda_star, the selection's arguments to :meth:`Selection.from_cells`
@@ -316,7 +311,7 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float, fills
         return 0.0, (w, [(hi_vals, w * tau)], lo_vals), float(w[prof.hit].sum())
 
     above = kappa > k_hi
-    fill = _regime_fill(instance, prof, "sup", above, fills)
+    fill = _regime_fill(instance, prof, "sup", above)
     (k,), (share,), (prob,) = _engage(fill, np.abs(fill.base - np.array([kappa])))
     engaged = np.zeros(instance.n)
     engaged[fill.index[:k]] = fill.weight[:k]
@@ -339,25 +334,25 @@ def mean_restricted_prob_bounds(
     return ClosedInterval(float(lower), float(upper))
 
 
-def _prob_bounds(instance: DiscreteInstance, prof: GapProfile, kappas, fills=None):
+def _prob_bounds(instance: DiscreteInstance, prof: GapProfile, kappas):
     """L and U at every kappa of ``kappas``, from one profile and one
     sorted fill per regime that some kappa falls in.  Each entry depends
-    only on its own kappa, so a batch equals its points bit for bit.
-    ``fills``, a dict, keeps the sorted fills for :func:`_calibrate`."""
+    only on its own kappa, so a batch equals its points bit for bit."""
     kappas = _clip_kappas(instance, kappas)
-    upper = _bound(instance, prof, "sup", kappas, fills)
-    lower = np.minimum(_bound(instance, prof, "inf", kappas, fills), upper)   # float noise guard
+    upper = _bound(instance, prof, "sup", kappas)
+    lower = np.minimum(_bound(instance, prof, "inf", kappas), upper)   # float noise guard
     return lower, upper
 
 
 def _pin_at(instance: DiscreteInstance, prof: GapProfile, kappa: float):
     """[L(kappa), U(kappa)], and lambda_star and the selection mean of the
-    calibration attaining U, all read from one sorted fill per regime; the
-    mean is read without building the selection's scenario column."""
-    fills: dict = {}
-    (lower,), (upper,) = _prob_bounds(instance, prof, [kappa], fills)
-    lam, cells, _ = _calibrate(instance, prof, _clip_kappa(instance, kappa), fills)
-    return ClosedInterval(float(lower), float(upper)), lam, _cells_mean(*cells)
+    calibration attaining U: U is the calibration's probability, from the
+    fill :func:`_prob_bounds` would sort for it, and the mean is read
+    without building the selection's scenario column."""
+    kappa = _clip_kappa(instance, kappa)
+    lam, cells, upper = _calibrate(instance, prof, kappa)
+    (lower,) = _bound(instance, prof, "inf", np.array([kappa]))
+    return ClosedInterval(min(float(lower), upper), upper), lam, _cells_mean(*cells)
 
 
 def _clip_kappas(instance: DiscreteInstance, kappas) -> np.ndarray:

@@ -6,9 +6,10 @@ in closed form (endpoints plus interior stationary points).  Each
 scenario's optimizer switches only at closed-form multipliers, sorted once
 per solve for both sides, so the optimal multiplier lies in one segment
 between them, solved in closed form; the optimizers there form a
-selection that attains the endpoint.  The segment is found by evaluating
-batches of candidate segments as tables of CELLS cells: every segment at
-once for small instances, one bisection probe per pass for large ones.
+selection that attains the endpoint.  Each side searches its segment on
+its own, CELLS // n candidate segments a pass (every segment at once for
+small instances, one bisection probe for large ones), and keeps only the
+(lam, up, mid) mask rows it may still read.
 
 Fixed-quantile restrictions at level alpha reuse the pivot machinery from
 the median case with mass levels (alpha, 1-alpha): the upper endpoint caps
@@ -48,7 +49,7 @@ from .benchmarks import (
 from .median import _pivot_fill, partition, pivot_mean_interval
 
 _ATOL = 1e-12
-#: cells (segments x scenarios) per table of the moment segment search: a
+#: cells (segments x scenarios) per pass of the moment segment search: a
 #: pass evaluates CELLS // n segments, at least one
 CELLS = 2**12
 # searched for in the sorted cuts: the first finite one and the first zero
@@ -161,7 +162,7 @@ def _stationary(lam: float, r: float) -> float:
 class _Breaks(NamedTuple):
     """One moment solve's data, scaled into [-1, 1], and its breakpoints:
     the multipliers where some scenario's optimizer of x + lam x^r can
-    switch (see :func:`_moment_optimum`).  Neither side changes them."""
+    switch (see :func:`_moment_side`).  Neither side changes them."""
 
     w: np.ndarray
     lo: np.ndarray
@@ -172,20 +173,6 @@ class _Breaks(NamedTuple):
     ends: np.ndarray   # the breakpoints sorted, then 0: segment j ends at ends[j]
     r: float
     odd: bool          # r an odd integer: the data may be signed
-
-
-class _Table(NamedTuple):
-    """One side's regimes at a batch of probed segments, one row each: the
-    segment's midpoint lam, the masks of the scenarios whose optimizer
-    there is the upper endpoint (``up``) or sign*t (``mid``), and E[x*^r]
-    at each segment's right end but the last segment's (``reached``).
-    Along a row's segment E[x*^r] = C + sign W t^r, C summed over the
-    endpoint optimizers and W the weight at sign*t."""
-
-    lam: np.ndarray
-    up: np.ndarray
-    mid: np.ndarray
-    reached: np.ndarray
 
 
 @functools.cache
@@ -249,24 +236,17 @@ def _probes(lo_j: int, hi_j: int, batch: int):
     return np.arange(start, start + batch * span, span) // (batch + 1)
 
 
-def _segment_tables(b: _Breaks, probes, sides):
-    """The tables of the ``sides`` (maximize flags) at the segments ``probes``.
-
-    The midpoints lam, lo + lam lo^r and hi + lam hi^r, t and g = t + lam
-    t^r, and t^r at the right ends do not depend on the side, so the first
-    pass, where both sides probe the same segments, builds them once.  For
-    odd r the min side's stationary optimizer is -t, where x + lam x^r is
-    -g and x^r is -t^r.  Every side's masks are taken before its sums, so
-    the (probes x n) rows of x + lam x^r are freed first.
-    """
-    ends, r, m, odd = b.ends, b.r, probes.size, b.odd
+def _side_free(b: _Breaks, probes):
+    """A pass's side-free values at the segments ``probes``: the midpoints
+    lam, t and g = t + lam t^r there, lo + lam lo^r and hi + lam hi^r (a
+    row per probe), and t^r at each right end but the last segment's."""
+    ends, r, m = b.ends, b.r, probes.size
     right = ends[probes]
     lam = ends[probes - 1] + right   # probe 0 reads the last end here; set below
     lam *= 0.5
     if probes[0] == 0:
         lam[0] = 2.0 * ends[0] - 1.0
-    rows = (m, 1) if m > 1 else (1,)   # one row is computed flat: 2-d broadcasts cost more
-    col = lam.reshape(rows)
+    col = lam.reshape((m, 1) if m > 1 else (1,))   # one row is computed flat: 2-d broadcasts cost more
     f_lo = col * b.lo_r   # lo + lam lo^r and hi + lam hi^r, in place
     f_lo += b.lo
     f_hi = col * b.hi_r
@@ -281,82 +261,48 @@ def _segment_tables(b: _Breaks, probes, sides):
     g = np.power(t, r)   # t > 0
     g *= lam
     g += t
-    masks, inside = [], None
-    for maximize in sides:
-        beats = np.greater if maximize else np.less
-        flip = odd and not maximize
-        x, f_x = (-t, -g) if flip else (t, g)
-        x, f_x = x.reshape(rows), f_x.reshape(rows)
-        if inside is None or odd:   # lo < x < hi, the same on both sides unless x is -t
-            inside = np.less(b.lo, x)
-            inside &= x < b.hi
-        mid = beats(f_x, f_lo)   # x inside, beating both endpoints
-        mid &= beats(f_x, f_hi)
-        mid &= inside
-        up = beats(f_hi, f_lo)
-        np.greater(up, mid, out=up)   # up and not mid
-        masks.append((flip, up, mid))
-    del f_lo, f_hi
-    # W, and C = E[lo^r] + E[up (hi^r - lo^r)] - E[mid lo^r]: products of
-    # the masks with weighted powers, which do not branch on the masks as a
-    # select would; one weighted column is alive at a time
+    return lam, t, g, f_lo, f_hi, right
+
+
+def _regimes(b: _Breaks, probes, maximize: bool, shared=None):
+    """One side's regimes at the segments ``probes``, from their side-free
+    values (``shared``, or built here): the midpoints lam, the masks of the
+    scenarios whose optimizer is the upper endpoint (``up``) or sign*t
+    (``mid``), a row per segment, and E[x*^r] = C + sign W t^r at each right
+    end but the last segment's (C summed over the endpoint optimizers, W the
+    weight at sign*t: -t on the min side for odd r, where x + lam x^r is -g)."""
+    lam, t, g, f_lo, f_hi, right = shared or _side_free(b, probes)
+    m, flip = t.size, b.odd and not maximize
+    beats = np.greater if maximize else np.less
+    x, f_x = (-t, -g) if flip else (t, g)
+    rows = (m, 1) if m > 1 else (1,)
+    x, f_x = x.reshape(rows), f_x.reshape(rows)
+    mid = beats(f_x, f_lo)   # x inside lo < x < hi, beating both endpoints
+    mid &= beats(f_x, f_hi)
+    mid &= np.less(b.lo, x)
+    mid &= x < b.hi
+    up = beats(f_hi, f_lo)
+    np.greater(up, mid, out=up)   # up and not mid
+    del f_lo, f_hi   # before the sums
+    # W, and C = E[lo^r] + E[up (hi^r - lo^r)] - E[mid lo^r], from products of
+    # the masks with weighted powers (no select branches), one column at a time
     weighted = b.hi_r - b.lo_r
     weighted *= b.w
-    rises = [np.dot(up, weighted) for _, up, _ in masks]
+    c = np.dot(up, weighted)
     np.multiply(b.lo_r, b.w, out=weighted)
-    tables = []
-    for (flip, up, mid), rise in zip(masks, rises):
-        reached = np.dot(mid, b.w).reshape(m)[:inner]   # W, then C + sign W t^r
-        reached *= right
-        if flip:
-            np.negative(reached, out=reached)
-        c = rise - np.dot(mid, weighted)
-        c += b.mean_lo_r
-        reached += c.reshape(m)[:inner]
-        tables.append(_Table(lam, up.reshape(m, -1), mid.reshape(m, -1), reached))
-    return tables
+    ones = mid.astype(float)   # what np.dot casts the mask to, cast once for two products
+    c -= np.dot(ones, weighted)
+    c += b.mean_lo_r
+    reached = np.dot(ones, b.w).reshape(m)[:right.size]   # W, then C + sign W t^r
+    reached *= right
+    if flip:
+        np.negative(reached, out=reached)
+    reached += c.reshape(m)[:right.size]
+    return lam, up.reshape(m, -1), mid.reshape(m, -1), reached
 
 
-def _row(b: _Breaks, table: _Table, i: int):
-    """The multiplier, C and W of row ``i`` of a table, C and W summed
-    over the row's optimizers as the solve always has (the table's sums,
-    taken from the weighted masks, only order the search)."""
-    up, mid = table.up[i], table.mid[i]
-    outer = np.where(up, b.hi_r, b.lo_r)
-    np.putmask(outer, mid, 0.0)
-    return float(table.lam[i]), float(np.dot(b.w, outer)), float(b.w[mid].sum())
-
-
-def _values(lo, hi, table: _Table, i: int, x_mid: float):
-    """The optimizers along row ``i`` of a table, sign*t = ``x_mid``."""
-    x = np.where(table.up[i], hi, lo)
-    np.putmask(x, table.mid[i], x_mid)
-    return x
-
-
-def _moment_optima(w, lo, hi, r: float, mu: float):
-    """lam*, the optimizers, their fraction and the rest, of the min and the
-    max side (see :func:`_moment_optimum`).  Both sides search one build of
-    the breakpoints and take their first tables from one call, since they
-    probe the same segments first; each side takes its table out of the
-    list, so that it lives only while read, and the optimizers are built
-    from the rows found once the breakpoints are freed."""
-    b = _breakpoints(w, lo, hi, r)
-    batch = max(1, CELLS // lo.size)
-    probes = _probes(0, b.ends.size, batch)
-    firsts = _segment_tables(b, probes, (False, True))
-    found = [_moment_optimum(b, mu, maximize, batch, probes, firsts) for maximize in (False, True)]
-    del b
-    out = []
-    for lam, theta, x_mid, row, rest in found:
-        x = _values(lo, hi, *row, x_mid)
-        out.append((lam, x, theta, x if rest is None else _values(lo, hi, *rest, x_mid)))
-    return out
-
-
-def _moment_optimum(b: _Breaks, mu: float, maximize: bool, batch: int, probes, firsts: list):
-    """lam* <= 0 and the optimizers of x + lam* x^r on one side, from its
-    table of the first pass at ``probes``, the first of ``firsts``.
+def _moment_side(b: _Breaks, mu: float, maximize: bool, batch: int, probes, shared=None):
+    """lam* <= 0 and the optimizers of x + lam* x^r on one side.
 
     A scenario's optimizer switches only where the stationary point t meets
     |lower| or |upper|, where the endpoints tie (lam = -(upper - lower) /
@@ -367,60 +313,62 @@ def _moment_optimum(b: _Breaks, mu: float, maximize: bool, batch: int, probes, f
     it every optimizer is an endpoint or sign*t, so E[x*^r] = C + sign W t^r
     there, monotone in lam across segments.  The search wants the first
     segment whose right end reaches mu (the last one counts as reaching).
-    Each pass evaluates ``batch`` = CELLS // n open segments, spread evenly,
-    as one table, and keeps only the tables of the first that reaches and
-    of the one before it: up to about 30 scenarios one table holds every
-    segment, a few hundred take two or three passes, and from
-    CELLS / 2 scenarios each pass probes the midpoint, a bisection.  The
-    segment found is solved in closed form from its row; at a jump, its
-    optimizers and those of the row before mix with one fraction.  Returns
-    lam*, the fraction theta, sign*t, and the (table, row) of the
-    optimizers and of the rest (None: the rest are the optimizers).
+    Each pass evaluates ``batch`` = CELLS // n open segments spread evenly,
+    the first ``probes`` (from side-free values ``shared`` with the other
+    side, if given), and keeps only the (lam, up, mid) rows of the first
+    that reaches and of the one before it: up to about 30 scenarios one
+    pass reads every segment, a few hundred take two or three, and from
+    CELLS / 2 scenarios each probes the midpoint, a bisection.  The
+    segment found is solved in closed form from its row, whose C and W are
+    summed over its optimizers (the pass's sums only order the search); at
+    a jump, its optimizers and those of the row before mix with one
+    fraction.  Returns lam*, theta, sign*t, and the rows of the optimizers
+    and of the rest (None: the rest are the optimizers).
     """
     r, ends = b.r, b.ends
     sign = -1.0 if b.odd and not maximize else 1.0
-    last = ends.size - 1
-    lo_j, hi_j = 0, last + 1   # the first reaching segment lies in [lo_j, hi_j]
-    below = above = None       # (table, row) of segments lo_j - 1 and hi_j
-    table = firsts.pop(0)
+    lo_j, hi_j = 0, ends.size   # the first reaching segment lies in [lo_j, hi_j]
+    below = above = None        # the rows of segments lo_j - 1 and hi_j
     while True:
-        reached = table.reached
+        lam, up, mid, reached = _regimes(b, probes, maximize, shared)
+        shared = None
         reach = np.greater_equal(reached, mu) if maximize else np.less_equal(reached, mu)
         i = int(reach.argmax()) if reach.size else 0
         if not (reach.size and reach[i]):
             i = reach.size   # the last segment, if probed, counts as reaching
         if i < probes.size:   # probe i is the first that reaches
-            hi_j, above = int(probes[i]), (table, i)
-            if i:
-                lo_j, below = int(probes[i - 1]) + 1, (table, i - 1)
-        else:
-            lo_j, below = int(probes[-1]) + 1, (table, i - 1)
+            hi_j, above = int(probes[i]), (float(lam[i]), up[i], mid[i])
+        if i:
+            lo_j, below = int(probes[i - 1]) + 1, (float(lam[i - 1]), up[i - 1], mid[i - 1])
         if lo_j == hi_j:
             break
         probes = _probes(lo_j, hi_j, batch)
-        del table, reached   # kept only through below and above
-        (table,) = _segment_tables(b, probes, (maximize,))
-    j, (table, i) = hi_j, above
-    lam, c, big_w = _row(b, table, i)
+
+    def sums(_, up, mid):   # C and W of a row
+        outer = np.where(up, b.hi_r, b.lo_r)
+        np.putmask(outer, mid, 0.0)
+        return float(np.dot(b.w, outer)), float(b.w[mid].sum())
+
+    j, lam = hi_j, above[0]
+    c, big_w = sums(*above)
     d = 1.0 if maximize else -1.0
     if j > 0:
         left = float(ends[j - 1])
         t = _stationary(left, r)
         m_cur = c + sign * big_w * t ** r if big_w > 0.0 else c
         if d * m_cur >= d * mu:   # mu inside the jump at ends[j - 1]
-            prev, k = below
-            _, c_prev, w_prev = _row(b, prev, k)
+            c_prev, w_prev = sums(*below)
             m_prev = c_prev + sign * w_prev * t ** r if w_prev > 0.0 else c_prev
             # rounding apart from the search's sums, the row before may reach mu too
             theta = min(max((mu - m_prev) / (m_cur - m_prev), 0.0), 1.0) if m_cur != m_prev else 1.0
-            return left, theta, sign * t, (table, i), below
+            return left, theta, sign * t, above, below
     t = _stationary(lam, r)
     if big_w > 0.0:
         t_a = _stationary(float(ends[j - 1]) if j else -math.inf, r)
         t_a, t_b = sorted((t_a, _stationary(float(ends[j]), r)))
         t = min(max(max(sign * (mu - c) / big_w, 0.0) ** (1.0 / r), t_a), t_b)
         lam = -1.0 / (r * t ** (r - 1.0)) if t > 0.0 else (-math.inf if r > 1.0 else 0.0)
-    return lam, 1.0, sign * t, (table, i), None
+    return lam, 1.0, sign * t, above, None
 
 
 def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
@@ -454,12 +402,24 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
         s = max(float(upper.max()), -float(lower.min()))   # max |endpoint|: lower <= upper
         lo, hi, mu = low / s, high / s, mu / s**r   # clamped as the image's endpoints
         del low, high
+        b = _breakpoints(w, lo, hi, r)
+        batch = max(1, CELLS // lo.size)
+        # both sides probe the same segments first: a pass of at most CELLS cells serves both
+        probes = _probes(0, b.ends.size, batch)
+        shared = _side_free(b, probes) if lo.size <= CELLS else None
+        found = [_moment_side(b, mu, maximize, batch, probes, shared) for maximize in (False, True)]
+        del b, shared
         sides = []
-        for maximize, (lam, x, theta, rest) in zip((False, True), _moment_optima(w, lo, hi, r, mu)):
-            for v in (x,) if rest is x else (x, rest):   # back to the data's units, in place
-                v *= s
+        for maximize, (lam, theta, x_mid, row, rest) in zip((False, True), found):
+            values = []
+            for _, up, mid in (row,) if rest is None else (row, rest):
+                v = np.where(up, hi, lo)   # the optimizers along the row, sign*t = x_mid
+                np.putmask(v, mid, x_mid)
+                v *= s   # back to the data's units, in place
                 np.maximum(v, lower, out=v)
                 np.minimum(v, upper, out=v)
+                values.append(v)
+            x, rest = values[0], values[-1]
             mean_x = float(np.dot(w, x))
             primal = theta * mean_x + (1.0 - theta) * (mean_x if rest is x else float(np.dot(w, rest)))
             if math.isfinite(lam):
@@ -480,7 +440,7 @@ def moment_restricted_mean_interval(
     Upper endpoint: inf over the multiplier of E[sup_x(x + lam x^r)] - lam mu_r;
     lower endpoint mirrors with inf_x and sup over the multiplier.  The
     multiplier is found exactly from the sorted breakpoints where a
-    scenario's optimizer can switch (see :func:`_moment_optimum`), and each
+    scenario's optimizer can switch (see :func:`_moment_side`), and each
     endpoint is the dual objective there, clipped into the unrestricted
     mean interval.
     """

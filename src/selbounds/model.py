@@ -93,18 +93,20 @@ class DiscreteInstance:
         if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
             raise InputError("scenario endpoints must be finite")
         _check_weights(weight)
-        bad = lower - upper
-        if np.any(bad > INVERSION_ATOL):
+        # compared, not subtracted: lower - upper overflows for endpoints of
+        # opposite signs near the largest double
+        bad = lower > upper + INVERSION_ATOL
+        if bad.any():
             i = int(np.argmax(bad))
             raise InvertedInterval(
                 f"scenario {i} has lower={lower[i]} > upper={upper[i]}"
             )
-        if np.any(bad > 0.0):
-            # repair sub-tolerance inversions to a degenerate midpoint interval
-            mid = 0.5 * (lower + upper)
-            fix = bad > 0.0
-            lower = np.where(fix, mid, lower)
-            upper = np.where(fix, mid, upper)
+        fix = np.flatnonzero(lower > upper)
+        if fix.size:
+            # repair sub-tolerance inversions to a degenerate midpoint
+            # interval; such endpoints are within 1e-12 of each other, so
+            # their sum cannot overflow
+            lower[fix] = upper[fix] = 0.5 * (lower[fix] + upper[fix])
         for arr in (lower, upper, weight):
             arr.setflags(write=False)
         self.lower = lower
@@ -346,9 +348,9 @@ def discretize(spec: ComonotoneSpec) -> DiscreteInstance:
     u = spec.grid()
     lower = np.asarray(spec.lower_law.ppf(u), dtype=float)
     upper = np.asarray(spec.upper_law.ppf(u), dtype=float)
-    gap = lower - upper
-    if np.any(gap > 1e-9):
-        i = int(np.argmax(gap))
+    crossed = lower > upper + 1e-9
+    if crossed.any():
+        i = int(np.argmax(crossed))
         raise CouplingViolation(
             f"lower quantile exceeds upper at u={u[i]:.6g}: "
             f"{lower[i]} > {upper[i]}"

@@ -403,12 +403,7 @@ def plain_csv_files(draw):
     ncols = draw(st.sampled_from([2, 3]))
     lines = [",".join(["lower", "upper", "weight"][:ncols])]
     for _ in range(draw(st.integers(1, 20))):
-        ends = [draw(plain_decimals()), draw(plain_decimals())]
-        if max(abs(float(e)) for e in ends) > 1e300:
-            # endpoints of opposite signs near the overflow threshold make
-            # the instance's inversion check overflow, on every parse path
-            ends = [e.lstrip("-") for e in ends]
-        ends.sort(key=float)
+        ends = sorted([draw(plain_decimals()), draw(plain_decimals())], key=float)
         weight = draw(st.integers(1, 10**6)) / 10 ** draw(st.integers(0, 8))
         lines.append(",".join([*ends, draw(st.sampled_from([repr(weight), f"{weight:.6e}"]))][:ncols]))
     eol = draw(st.sampled_from(["\n", "\r\n"]))

@@ -233,8 +233,8 @@ class TestMomentSolver:
 
 
 class TestMomentSearchBatches:
-    """Each pass of the moment search evaluates CELLS // n segments as one
-    table: every segment at once for small instances, a k-ary search for
+    """Each pass of the moment search evaluates CELLS // n segments on one
+    side: every segment at once for small instances, a k-ary search for
     hundreds of scenarios, and with CELLS = 1 a bisection, one midpoint
     probe per pass.  All of them must find the same optimum."""
 
@@ -285,39 +285,42 @@ class TestMomentSearchBatches:
                     moment += (1.0 - theta) * float(np.dot(inst.weight, ext._power(rest, r)))
                     assert abs(moment - mu) <= 1e-12 * moment_scale
 
-    def test_search_keeps_only_the_tables_it_reads(self, monkeypatch):
-        # with one probe per pass, a pass starts with at most four one-row
-        # tables alive: the min side's two once it is done, and the
-        # searching side's on either side of its bracket
+    def test_search_keeps_only_the_rows_it_reads(self, monkeypatch):
+        # with one probe per pass, a pass starts with at most four mask
+        # rows alive: the min side's two once it is done, and the searching
+        # side's on either side of its bracket
         import weakref
 
         import selbounds.extensions as ext
 
         made, alive = [], []
-        real = ext._segment_tables
+        real = ext._regimes
 
-        def tables(b, probes, sides):
+        def regimes(b, probes, maximize, shared=None):
             alive.append(sum(ref() is not None for ref in made))
-            out = real(b, probes, sides)
-            made.extend(weakref.ref(t.up.base if t.up.base is not None else t.up) for t in out)
+            out = real(b, probes, maximize, shared)
+            up = out[1]
+            made.append(weakref.ref(up.base if up.base is not None else up))
             return out
 
-        monkeypatch.setattr(ext, "_segment_tables", tables)
+        monkeypatch.setattr(ext, "_regimes", regimes)
         monkeypatch.setattr(ext, "CELLS", 1)
         inst = self.instance(np.random.default_rng(67), 2.0, 2000)
         img = power_image_interval(inst, 2.0)
         moment_restricted_mean_interval(inst, MomentRestriction(2.0, img.lo + 0.37 * img.width))
         assert len(alive) > 10 and max(alive) <= 4
 
-    def test_small_solve_builds_one_table_per_side(self, monkeypatch):
-        # up to 8 scenarios every segment fits one table: one pass per side,
-        # and one dual objective evaluation per side
+    def test_small_solve_shares_one_first_pass(self, monkeypatch):
+        # up to 8 scenarios every segment fits one pass: its side-free
+        # values are built once for both sides, each side reads them once,
+        # and the dual objective is evaluated once per side
         import selbounds.extensions as ext
 
-        tables, evals = [], []
-        real_tables, real_envelope = ext._segment_tables, ext._scenario_envelope
+        built, read, evals = [], [], []
+        real_free, real_regimes, real_envelope = ext._side_free, ext._regimes, ext._scenario_envelope
+        monkeypatch.setattr(ext, "_side_free", lambda *a: built.append(1) or real_free(*a))
         monkeypatch.setattr(
-            ext, "_segment_tables", lambda b, probes, sides: tables.extend(sides) or real_tables(b, probes, sides)
+            ext, "_regimes", lambda b, probes, maximize, shared=None: read.append(maximize) or real_regimes(b, probes, maximize, shared)
         )
         monkeypatch.setattr(ext, "_scenario_envelope", lambda *a: evals.append(1) or real_envelope(*a))
         rng = np.random.default_rng(61)
@@ -326,11 +329,38 @@ class TestMomentSearchBatches:
                 lo = rng.uniform(-1.0, 1.0, n) if r in (3.0, 5.0) else rng.uniform(0.0, 1.0, n)
                 inst = DiscreteInstance(lo, lo + rng.uniform(0.1, 1.0, n), np.full(n, 1.0 / n))
                 img = power_image_interval(inst, r)
-                tables.clear()
-                evals.clear()
+                for calls in (built, read, evals):
+                    calls.clear()
                 moment_restricted_mean_interval(inst, MomentRestriction(r, img.lo + 0.4 * img.width))
-                assert sorted(tables) == [False, True]
+                assert len(built) == 1 and read == [False, True]
                 assert len(evals) == 2
+
+    # (seed, r, n): the interval's endpoints and the min and max sides'
+    # theta, as float.hex(), at mu a fraction 0.37 into the moment image
+    PINNED = {
+        (2, 0.5, 2): ["0x1.5e76c8b439580p-3", "0x1.d99999999999ap-2", "0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"],
+        (1, 0.5, 40): ["0x1.a0a5937675431p-1", "0x1.f12f55fd358e5p-1", "0x1.0000000000000p+0", "0x1.4c176d9bc5da0p-1"],
+        (1, 0.5, 300): ["0x1.b778d093bd304p-1", "0x1.07a5938590ab9p+0", "0x1.0000000000000p+0", "0x1.dbb44aeadfd71p-1"],
+        (2, 2.0, 5): ["0x1.59477f8365357p-1", "0x1.b3eb394ea27bep-1", "0x1.57e18968dd249p-2", "0x1.0000000000000p+0"],
+        (2, 2.0, 40): ["0x1.b57c1c411939fp-1", "0x1.fed7629b40396p-1", "0x1.dd73dd2190b18p-1", "0x1.0000000000000p+0"],
+        (3, 2.0, 300): ["0x1.d4e428c02727dp-1", "0x1.12dafcddd71bep+0", "0x1.a04fcfe064d8bp-1", "0x1.0000000000000p+0"],
+        (2, 3.0, 2): ["-0x1.34dd72d1814e0p-1", "-0x1.14dbf86a314ddp-2", "0x1.0000000000000p+0", "0x1.b491cdda7ed74p-2"],
+        (1, 3.0, 40): ["-0x1.d946d4cd34cb2p-4", "0x1.8c93ea3fcd47fp-2", "0x1.3a305ae51f580p-3", "0x1.0000000000000p+0"],
+        (1, 3.0, 300): ["0x1.40b8f73cd8897p-6", "0x1.8c46a09dcd032p-2", "0x1.fdfe842999846p-2", "0x1.0000000000000p+0"],
+        (2, 5.0, 5): ["-0x1.46a81de257928p-3", "0x1.7756098959d67p-4", "0x1.0000000000000p+0", "0x1.fe2c4f2e6da66p-3"],
+        (2, 5.0, 40): ["-0x1.22f95b605fb27p-5", "0x1.88585a80c1b10p-2", "0x1.304dc1edb16b2p-1", "0x1.0000000000000p+0"],
+        (3, 5.0, 300): ["0x1.8284f8321bc8bp-4", "0x1.15b07b76456eap-1", "0x1.6e1bcc574b26ap-3", "0x1.0000000000000p+0"],
+    }
+
+    @pytest.mark.parametrize("seed, r, n", list(PINNED))
+    def test_answers_keep_their_bits(self, seed, r, n):
+        # random and 0.25-grid data, each case with a jump on one side
+        import selbounds.extensions as ext
+
+        inst = self.instance(np.random.default_rng(seed), r, n)
+        img = power_image_interval(inst, r)
+        iv, (low, high) = ext._moment_solve(inst, MomentRestriction(r, img.lo + 0.37 * img.width))
+        assert [v.hex() for v in (*iv.as_tuple(), low[3], high[3])] == self.PINNED[seed, r, n]
 
 
 class TestQuantileFeasibility:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,17 @@ class TestNormalize:
     def test_tiny_inversion_repaired(self):
         inst = DiscreteInstance([1.0 + 5e-13], [1.0], [1.0])
         assert inst.lower[0] == inst.upper[0]
+
+    def test_opposite_sign_extremes_do_not_overflow(self):
+        # lower - upper overflows here; the inversion check and the repair
+        # of the tiny inversion beside it must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = DiscreteInstance(np.array([-1e308, 1.0 + 5e-13]), np.array([1e308, 1.0]), np.array([1.0, 1.0]))
+            with pytest.raises(InvertedInterval):
+                DiscreteInstance(np.array([1e308]), np.array([-1e308]), np.array([1.0]))
+        assert inst.lower[0] == -1e308 and inst.upper[0] == 1e308
+        assert inst.lower[1] == inst.upper[1] == 0.5 * (2.0 + 5e-13)
 
     def test_scenario_invariants(self):
         with pytest.raises(NonpositiveWeight):
