@@ -264,7 +264,7 @@ def _side_free(b: _Breaks, probes):
     return lam, t, g, f_lo, f_hi, right
 
 
-def _regimes(b: _Breaks, probes, maximize: bool, shared=None):
+def _regimes(b: _Breaks, probes, maximize: bool, shared):
     """One side's regimes at the segments ``probes``, from their side-free
     values (``shared``, or built here): the midpoints lam, the masks of the
     scenarios whose optimizer is the upper endpoint (``up``) or sign*t
@@ -301,7 +301,7 @@ def _regimes(b: _Breaks, probes, maximize: bool, shared=None):
     return lam, up.reshape(m, -1), mid.reshape(m, -1), reached
 
 
-def _moment_side(b: _Breaks, mu: float, maximize: bool, batch: int, probes, shared=None):
+def _moment_side(b: _Breaks, mu: float, maximize: bool, batch: int, probes, shared):
     """lam* <= 0 and the optimizers of x + lam* x^r on one side.
 
     A scenario's optimizer switches only where the stationary point t meets

@@ -296,7 +296,7 @@ class TestMomentSearchBatches:
         made, alive = [], []
         real = ext._regimes
 
-        def regimes(b, probes, maximize, shared=None):
+        def regimes(b, probes, maximize, shared):
             alive.append(sum(ref() is not None for ref in made))
             out = real(b, probes, maximize, shared)
             up = out[1]
@@ -319,9 +319,7 @@ class TestMomentSearchBatches:
         built, read, evals = [], [], []
         real_free, real_regimes, real_envelope = ext._side_free, ext._regimes, ext._scenario_envelope
         monkeypatch.setattr(ext, "_side_free", lambda *a: built.append(1) or real_free(*a))
-        monkeypatch.setattr(
-            ext, "_regimes", lambda b, probes, maximize, shared=None: read.append(maximize) or real_regimes(b, probes, maximize, shared)
-        )
+        monkeypatch.setattr(ext, "_regimes", lambda *a: read.append(a[2]) or real_regimes(*a))   # a[2]: maximize
         monkeypatch.setattr(ext, "_scenario_envelope", lambda *a: evals.append(1) or real_envelope(*a))
         rng = np.random.default_rng(61)
         for r in (0.5, 2.0, 3.0, 5.0):
