@@ -46,7 +46,7 @@ class Selection:
             raise InputError("selection arrays must be equal-length 1-d")
         keep = _kept_rows(w)
         if keep is not None:
-            s, v, w = s[keep], v[keep], w[keep]
+            s, v, w = s.compress(keep), v.compress(keep), w.compress(keep)
         object.__setattr__(self, "scenario", s)
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "subweight", w)
@@ -113,7 +113,7 @@ def _cells_mean(weight, cells, rest) -> float:
     value, subweight = _cell_rows(weight, cells, rest)
     keep = _kept_rows(subweight)
     if keep is not None:
-        value, subweight = value[keep], subweight[keep]
+        value, subweight = value.compress(keep), subweight.compress(keep)
     return float(np.dot(value, subweight))
 
 

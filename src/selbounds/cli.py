@@ -74,7 +74,6 @@ from .extensions import (
     MomentRestriction,
     QuantileRestriction,
     _moment_solve,
-    power_image_interval,
     quantile_restricted_mean_interval,
 )
 from . import oracle
@@ -260,6 +259,8 @@ _FOLLOWERS = np.array([_FOLLOW.get(c, 0) for c in range(128)], np.uint8)   # by 
 _INTS = bytes.maketrans(b"eE\n", b",,,")
 # significant mantissa digits and exponent characters that a uint64 always holds
 _MAX_DIGITS, _MAX_EXP_CHARS = 19, 9
+# a nonzero digit and _MAX_DIGITS more, a dot among them or not: a long cell
+_LONG = re.compile(rb"[1-9](?:\.?[0-9]){%d}" % _MAX_DIGITS)
 # the decimal exponents k of M * 10**-k with a double-double 10**-k: every
 # product stays normal and finite, so Dekker's product is exact
 _K_LO, _K_HI = -280, 280
@@ -433,9 +434,9 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
 
 def _piece_cells(data: bytes, ncols: int) -> np.ndarray:
     """The (rows, ncols) cells of a piece's data lines: plain decimals read
-    by :func:`_plain_cells`, the rest by ``np.loadtxt``; ValueError where
-    the line parser must decide."""
-    cells = _plain_cells(data, ncols)
+    by :func:`_plain_cells`, the rest, and pieces whose first line has a
+    long cell, by ``np.loadtxt``; ValueError where the line parser must decide."""
+    cells = None if _LONG.search(data, 0, data.find(b"\n")) else _plain_cells(data, ncols)
     if cells is None:
         cells = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
         if cells.shape[1] != ncols:
@@ -679,8 +680,9 @@ def _run_restriction(request, instance, median_range, prof, restricted) -> None:
         restricted["duality_gap"] = {"lower": env.lower - iv.lo, "upper": env.upper - iv.hi}
     elif kind == "moment":
         r, mu = request.restriction[1], request.restriction[2]
-        restricted["moment_image"] = _interval(power_image_interval(instance, r), "closed-form")
-        iv, (low, high) = _moment_solve(instance, MomentRestriction(r, mu))
+        def seen(image):   # reported also where mu lies outside it and the solve raises
+            restricted["moment_image"] = _interval(image, "closed-form")
+        iv, (low, high) = _moment_solve(instance, MomentRestriction(r, mu), seen)
         restricted["moment_mean"] = _interval(iv, "dual")
         restricted["duality_gap"] = {"lower": low[0] - low[1], "upper": high[0] - high[1]}
     elif kind == "quantile":

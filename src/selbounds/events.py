@@ -120,36 +120,24 @@ class GapProfile:
 def gap_profile(instance: DiscreteInstance, target: TargetSet) -> GapProfile:
     """Exact interval-union intersection geometry, vectorized per piece."""
     lo, hi = instance.lower, instance.upper
-    n = instance.n
-    a_plus = np.full(n, -np.inf)
-    a_minus = np.full(n, np.inf)
-    hit = np.zeros(n, dtype=bool)
-    contain = np.zeros(n, dtype=bool)
+    hit, contain = np.zeros(instance.n, dtype=bool), np.zeros(instance.n, dtype=bool)
     # complement extremes: where the endpoint sits inside a piece, the
-    # nearest exit is that piece's far edge (a closure point).
-    out_low = lo.copy()
-    out_high = hi.copy()
+    # nearest exit is that piece's far edge (a closure point).  Every target
+    # has a piece, whose np.where turns these starts into new arrays (plain
+    # ops and np.where cost less than masked ufuncs at 50k scenarios).
+    a_plus, a_minus, out_low, out_high = -np.inf, np.inf, lo, hi
     for a, b in target.pieces:
         a_lo, lo_b, a_hi, hi_b = a <= lo, lo <= b, a <= hi, hi <= b
         meets = lo_b & a_hi
         hit |= meets
-        np.minimum(a_minus, np.maximum(a, lo), out=a_minus, where=meets)
-        np.maximum(a_plus, np.minimum(b, hi), out=a_plus, where=meets)
+        a_minus = np.where(meets, np.minimum(a_minus, np.maximum(a, lo)), a_minus)
+        a_plus = np.where(meets, np.maximum(a_plus, np.minimum(b, hi)), a_plus)
         contain |= a_lo & hi_b
-        np.copyto(out_low, b, where=a_lo & lo_b)
-        np.copyto(out_high, a, where=a_hi & hi_b)
+        out_low = np.where(a_lo & lo_b, b, out_low)
+        out_high = np.where(a_hi & hi_b, a, out_high)
     out_low[contain] = np.inf
     out_high[contain] = -np.inf
-    return GapProfile(
-        lower=lo,
-        upper=hi,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        hit=hit,
-        contain=contain,
-        out_low=out_low,
-        out_high=out_high,
-    )
+    return GapProfile(lo, hi, a_plus, a_minus, hit, contain, out_low, out_high)
 
 
 def unrestricted_prob_bounds(instance: DiscreteInstance, target: TargetSet) -> ClosedInterval:
@@ -159,7 +147,7 @@ def unrestricted_prob_bounds(instance: DiscreteInstance, target: TargetSet) -> C
 
 def _unrestricted(instance: DiscreteInstance, prof: GapProfile) -> ClosedInterval:
     w = instance.weight
-    return ClosedInterval(float(w[prof.contain].sum()), float(w[prof.hit].sum()))
+    return ClosedInterval(float(w.compress(prof.contain).sum()), float(w.compress(prof.hit).sum()))
 
 
 @dataclass(frozen=True)
@@ -248,7 +236,7 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
         else:
             g = np.maximum(prof.out_low[idx] - prof.a_minus[idx], 0.0)
         pool = g > 0.0
-        idx, g = idx[pool], g[pool]
+        idx, g = idx.compress(pool), g.compress(pool)
         base = float(np.dot(instance.weight, _span(instance, prof, "inf")[1 if above else 0]))
     w = instance.weight[idx]
     cost = g * w
@@ -270,7 +258,7 @@ def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas) -> 
     """
     w = instance.weight
     lo, hi = (float(np.dot(w, v)) for v in _span(instance, prof, bound))
-    slack = float(w[prof.hit if bound == "sup" else prof.contain].sum())
+    slack = float(w.compress(prof.hit if bound == "sup" else prof.contain).sum())
     floor = 0.0 if bound == "sup" else slack   # L's contained mass always counts
     out = np.full(kappas.shape, slack)
     for side, at in ((True, kappas > hi + _ATOL), (False, kappas < lo - _ATOL)):
@@ -308,7 +296,7 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float):
     if k_lo - _ATOL <= kappa <= k_hi + _ATOL:
         span = k_hi - k_lo
         tau = 0.0 if span <= 0.0 else min(max((kappa - k_lo) / span, 0.0), 1.0)
-        return 0.0, (w, [(hi_vals, w * tau)], lo_vals), float(w[prof.hit].sum())
+        return 0.0, (w, [(hi_vals, w * tau)], lo_vals), float(w.compress(prof.hit).sum())
 
     above = kappa > k_hi
     fill = _regime_fill(instance, prof, "sup", above)
@@ -428,9 +416,9 @@ def _kink_argmin(w, left: float, right: float, gaps) -> float:
     keep = gaps > 0.0
     if not keep.any():
         return 0.0
-    order, desc = _fill_order(-gaps[keep])
+    order, desc = _fill_order(-gaps.compress(keep))
     desc = -desc   # the gaps, largest first
-    slope = start + np.cumsum(w[keep][order] * desc)
+    slope = start + np.cumsum(w.compress(keep)[order] * desc)
     return side / float(desc[min(int(np.searchsorted(slope, 0.0)), desc.size - 1)])
 
 
@@ -457,21 +445,22 @@ def _dual(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> DualEnv
     """
     kappa = _clip_kappa(instance, kappa)
     w, lo, hi, hit = instance.weight, instance.lower, instance.upper, prof.hit
+    hit_at = np.flatnonzero(hit)
     lam_u = _kink_argmin(
-        w[hit],
+        w[hit_at],
         float(np.dot(w, np.where(hit, prof.a_minus, lo))) - kappa,
         float(np.dot(w, np.where(hit, prof.a_plus, hi))) - kappa,
-        lambda side: prof._gap(side > 0.0, hit),
+        lambda side: prof._gap(side > 0.0, hit_at),
     )
     upper = _psi_mean(instance, prof, lam_u) - lam_u * kappa
-    part = hit & ~prof.contain
+    part_at = np.flatnonzero(part := hit & ~prof.contain)
     lam_l = _kink_argmin(
-        w[part],
+        w[part_at],
         kappa - float(np.dot(w, np.where(part, prof.out_high, hi))),
         kappa - float(np.dot(w, np.where(part, prof.out_low, lo))),
         lambda side: np.maximum(
-            prof.out_low[part] - prof.a_minus[part] if side > 0.0
-            else prof.a_plus[part] - prof.out_high[part],
+            prof.out_low[part_at] - prof.a_minus[part_at] if side > 0.0
+            else prof.a_plus[part_at] - prof.out_high[part_at],
             0.0,
         ),
     )

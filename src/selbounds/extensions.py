@@ -117,8 +117,7 @@ def _power_image(instance: DiscreteInstance, r: float):
     lower, upper = instance.lower, instance.upper
     if not _is_odd_integer(r):
         # validity guarantees nonnegative lowers; clamp -1e-15 noise
-        lower = np.maximum(lower, 0.0)
-        upper = np.maximum(upper, 0.0)
+        lower, upper = np.maximum(lower, 0.0), np.maximum(upper, 0.0)
     lo = float(np.dot(instance.weight, _power(lower, r)))
     hi = float(np.dot(instance.weight, _power(upper, r)))
     return ClosedInterval(min(lo, hi), max(lo, hi)), lower, upper
@@ -301,6 +300,15 @@ def _regimes(b: _Breaks, probes, maximize: bool, shared):
     return lam, up.reshape(m, -1), mid.reshape(m, -1), reached
 
 
+def _row_sums(b: _Breaks, row):
+    """C and W of a (lam, up, mid) row: E[x*^r] over its endpoint
+    optimizers, and the mass at the stationary point."""
+    _, up, mid = row
+    outer = np.where(up, b.hi_r, b.lo_r)
+    np.putmask(outer, mid, 0.0)
+    return float(np.dot(b.w, outer)), float(b.w.compress(mid).sum())
+
+
 def _moment_side(b: _Breaks, mu: float, maximize: bool, batch: int, probes, shared):
     """lam* <= 0 and the optimizers of x + lam* x^r on one side.
 
@@ -344,20 +352,15 @@ def _moment_side(b: _Breaks, mu: float, maximize: bool, batch: int, probes, shar
             break
         probes = _probes(lo_j, hi_j, batch)
 
-    def sums(_, up, mid):   # C and W of a row
-        outer = np.where(up, b.hi_r, b.lo_r)
-        np.putmask(outer, mid, 0.0)
-        return float(np.dot(b.w, outer)), float(b.w[mid].sum())
-
     j, lam = hi_j, above[0]
-    c, big_w = sums(*above)
+    c, big_w = _row_sums(b, above)
     d = 1.0 if maximize else -1.0
     if j > 0:
         left = float(ends[j - 1])
         t = _stationary(left, r)
         m_cur = c + sign * big_w * t ** r if big_w > 0.0 else c
         if d * m_cur >= d * mu:   # mu inside the jump at ends[j - 1]
-            c_prev, w_prev = sums(*below)
+            c_prev, w_prev = _row_sums(b, below)
             m_prev = c_prev + sign * w_prev * t ** r if w_prev > 0.0 else c_prev
             # rounding apart from the search's sums, the row before may reach mu too
             theta = min(max((mu - m_prev) / (m_cur - m_prev), 0.0), 1.0) if m_cur != m_prev else 1.0
@@ -371,11 +374,11 @@ def _moment_side(b: _Breaks, mu: float, maximize: bool, batch: int, probes, shar
     return lam, 1.0, sign * t, above, None
 
 
-def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
+def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction, seen=lambda image: None):
     """The moment-restricted mean interval and, for the min and the max
     side, (dual, primal, x, theta, rest): the dual objective at lam*, and
     the attaining selection, which puts the fraction theta of each weight
-    at x and the rest at rest, with its mean.
+    at x and the rest at rest, with its mean; ``seen`` gets the power image.
 
     mu_r at an image edge pins every scenario to that endpoint (lam* is 0
     on one side and -inf on the other).  Otherwise each side is solved on
@@ -385,6 +388,7 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction):
     """
     r, mu = restriction.r, restriction.mu_r
     image, low, high = _power_image(instance, r)
+    seen(image)
     tol = 1e-9 * max(1.0, abs(image.lo), abs(image.hi))
     if not image.contains(mu, tol=tol):
         raise InfeasibleMoment(

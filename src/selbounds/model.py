@@ -228,7 +228,7 @@ class StepDistribution:
             if np.any(weights < -MASS_ATOL):
                 raise InputError("sample weights must be nonnegative")
             keep = weights > 0.0
-            values, weights = values[keep], weights[keep]
+            values, weights = values.compress(keep), weights.compress(keep)
             if values.size == 0:
                 raise InputError("no positive-mass samples")
         # np.unique(return_inverse=True) and np.add.at without their copies:

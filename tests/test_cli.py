@@ -491,6 +491,38 @@ class TestPlainDecimalReader:
             with pytest.raises(AssertionError, match="loadtxt"):
                 parse_csv(f"lower,upper\n{cell},{cell}\n".encode())
 
+    @pytest.mark.parametrize("first", ["long", "short"])
+    def test_a_long_first_line_skips_the_grammar_pass(self, monkeypatch, first):
+        """Each piece whose first line has a cell of more than 19
+        significant digits goes to np.loadtxt without the grammar pass; one
+        with a short first line runs it and declines there.  Both read the
+        bits float reads."""
+        rng = np.random.default_rng(6)
+        lower = rng.uniform(-4.0, 4.0, 3000)
+        upper = lower + rng.exponential(1.0, lower.size)
+        rows = [f"{a:.20f},{b:.20f}\n" for a, b in zip(lower.tolist(), upper.tolist())]
+        if first == "short":
+            rows[0] = "0.5,0.75\n"
+        grammar, real = [], cli_module._plain_cells
+        monkeypatch.setattr(cli_module, "_CHUNK", 1 << 14)   # about ten pieces
+        monkeypatch.setattr(cli_module, "_plain_cells", lambda *a: grammar.append(a) or real(*a))
+        inst = parse_csv(("lower,upper\n" + "".join(rows)).encode())
+        assert len(grammar) == (first == "short")
+        want = np.array([[float(c) for c in row.split(",")] for row in rows])
+        assert np.array_equal(inst.lower.view(np.int64), want[:, 0].view(np.int64))
+        assert np.array_equal(inst.upper.view(np.int64), want[:, 1].view(np.int64))
+
+    def test_a_short_first_line_keeps_the_grammar_pass(self, monkeypatch):
+        rows = [f"{x!r},{x + 1.0!r}\n" for x in np.random.default_rng(7).normal(0.0, 1e-5, 3000).tolist()]
+        grammar, real = [], cli_module._plain_cells
+        monkeypatch.setattr(cli_module, "_CHUNK", 1 << 14)
+        monkeypatch.setattr(cli_module, "_plain_cells", lambda *a: grammar.append(a) or real(*a))
+        monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError("np.loadtxt was called")))
+        inst = parse_csv(("lower,upper\n" + "".join(rows)).encode())
+        assert len(grammar) > 5
+        want = np.array([float(row.split(",")[0]) for row in rows])
+        assert np.array_equal(inst.lower.view(np.int64), want.view(np.int64))
+
 
 class TestWorkingSet:
     """tracemalloc peaks at 50,000 rows in bytes per row, bounds set from
