@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,21 @@ from selbounds import (
     DiscreteInstance,
     InfeasibleMedian,
     MOutsideMedianSpan,
+    QuantileRestriction,
     aumann_interval,
     discretize,
     extremal_selection,
     marginal_cost_terms,
     marginal_cost_terms_parametric,
     marginal_law,
+    mean_restricted_quantile_range,
     median_benchmark,
     median_restricted_mean_interval,
     mixed_selection,
     parse_law,
     partition,
+    quantile_attainability_range,
+    quantile_restricted_mean_interval,
     oracle,
 )
 
@@ -282,3 +288,156 @@ class TestMarginalCostTerms:
         for implied in (discrete_terms.implied, param_terms.implied):
             assert implied.lo == pytest.approx(general.lo, abs=1e-3)
             assert implied.hi == pytest.approx(general.hi, abs=1e-3)
+
+
+class TestPivotLayerBits:
+    """Every pivot answer keeps its bits: the median and quantile intervals
+    and the mean-pinned quantile ranges as ``float.hex``, and the extremal
+    and mixed selections as a SHA-256 of their arrays."""
+
+    # (seed, on a 0.25 grid, n): ten endpoints as float.hex, then the digest
+    PINNED = {
+        (1, False, 2): (
+            [
+                "0x1.74abad195f04ap-2", "0x1.9a416234a699ep-2", "0x1.877687a702cf4p-2", "0x1.ad0c3cc24a648p-2",
+                "0x1.81730e83ed1ddp-2", "0x1.a407070da9da5p-2", "0x1.61e0d28bbb3a1p-2", "0x1.64e28f1d4612ep-2",
+                "0x1.61e0d28bbb3a1p-2", "0x1.a24f2d95eccc2p-2",
+            ],
+            "4a5acc86b513207fe68e395a8d6cd1e671e1d611a959e031bf2d55bbcf3fa2b9",
+        ),
+        (2, True, 3): (
+            [
+                "0x1.2000000000000p-1", "0x1.8666666666667p-1", "0x1.4000000000000p-1", "0x1.999999999999ap-1",
+                "0x1.35c28f5c28f5cp-1", "0x1.947ae147ae148p-1", "0x1.8000000000000p-1", "0x1.8624dd2f1a9fcp-1",
+                "0x1.8000000000000p-1", "0x1.0000000000000p+0",
+            ],
+            "77c04622dcdfcad63091b824ffdf7dba7387568cc3f08176b3828d4820ae0c01",
+        ),
+        (3, False, 5): (
+            [
+                "0x1.b1a07b67d5575p-1", "0x1.2c1b36b81b134p+0", "0x1.d2a13c8980f61p-1", "0x1.2ccd084026c2ep+0",
+                "0x1.964391e1e54e0p-1", "0x1.2cbba6ead7019p+0", "0x1.053cd67810b16p+1", "0x1.073f5754ce7dap+1",
+                "0x1.ac221aa4baeafp-2", "0x1.0a98283990d98p-1",
+            ],
+            "7b7a1e0c9c7ab1956910c3d02704929b8c458aa82173abc96bc35117d9e45ba1",
+        ),
+        (4, True, 5): (
+            [
+                "0x1.fb13b13b13b14p-2", "0x1.db13b13b13b14p-1", "0x1.04ec4ec4ec4ecp-1", "0x1.189d89d89d89ep+0",
+                "0x1.eeabb78845512p-2", "0x1.094160e2dafa8p+0", "0x1.0000000000000p-1", "0x1.369d0369d0369p-1",
+                "0x0.0p+0", "0x1.0000000000000p-1",
+            ],
+            "a6892ef8b10bdf30a1ae83f341682f703d05fe6ef31c23dbc31d64bc4a3ea50b",
+        ),
+        (5, False, 12): (
+            [
+                "0x1.59fab163bc986p-4", "0x1.f39d6f7649afdp-1", "0x1.67932b61c8b46p-4", "0x1.fae6a18ff1ac3p-1",
+                "0x1.4815d73200c02p-4", "0x1.d2bde9e83c6a9p-1", "0x1.c15b7f53fc3e3p-4", "0x1.c15b7f53fc3e3p-4",
+                "-0x1.91cebb117e6e3p-1", "0x1.c15b7f53fc3e3p-4",
+            ],
+            "ca558d8df4e67206a5397c650b25c09154d54061fef941859c7c0efc9ea2d6cd",
+        ),
+        (6, True, 12): (
+            [
+                "0x1.5555555555556p-4", "0x1.eaaaaaaaaaaa8p-2", "0x1.5555555555556p-4", "0x1.eaaaaaaaaaaa8p-2",
+                "0x1.0da740da740d9p-3", "0x1.0cf13579be023p-1", "0x0.0p+0", "0x1.3333333333332p-5",
+                "-0x1.0000000000000p-2", "0x1.0000000000000p-1",
+            ],
+            "73969ce4fb2a149452fc37843bfa66cfedaf95a46f7d0500c1daa199cf0bed40",
+        ),
+        (7, False, 40): (
+            [
+                "-0x1.86f274f67b602p-2", "0x1.43e98baf2aeeap-2", "-0x1.86e75d3622541p-2", "0x1.43edcb8660ab6p-2",
+                "-0x1.b3f0e9b485a62p-2", "0x1.259654e3d7414p-2", "-0x1.d49939df35222p-2", "-0x1.94d672ea23b50p-3",
+                "-0x1.c7fba74b18102p-1", "-0x1.e93827a07d88fp-2",
+            ],
+            "5b74e7a0fb57e09665bea4933fa5915538818077d1c967aea061a31707109b2c",
+        ),
+        (8, True, 40): (
+            [
+                "-0x1.2620ae4c415c8p-5", "0x1.8ae4c415c9881p-2", "-0x1.0572620ae4c38p-6", "0x1.9882b93105725p-2",
+                "-0x1.17bf82816a8a2p-5", "0x1.94ce8b00a7536p-2", "-0x1.0000000000000p-2", "0x1.1bfd44f307820p-7",
+                "-0x1.0000000000000p-1", "0x0.0p+0",
+            ],
+            "5818b513fcf610bd8e5e778a724f364854115dd7d8bf1b4f6869d05915bea96b",
+        ),
+        (9, False, 120): (
+            [
+                "0x1.da1d90bec6235p-6", "0x1.94bddb78f3354p-1", "0x1.5fb8541857ee3p-6", "0x1.8f8cbf5d7f899p-1",
+                "0x1.139e57fb537fbp-5", "0x1.ab171e6dad3abp-1", "-0x1.86340a9f3e946p-5", "0x1.c24a2b665eaeep-3",
+                "-0x1.30024e084686ep-1", "-0x1.8c7144f8b39ecp-4",
+            ],
+            "b112d7d422f85c3d7af972b9dead986525a193fbdf5fba228dffb350e98e64bb",
+        ),
+        (10, True, 120): (
+            [
+                "0x1.1bb8413911efap-4", "0x1.0f15328c3ab38p-1", "0x1.1bb8413911efap-4", "0x1.0f15328c3ab38p-1",
+                "0x1.63b9d1f3de584p-4", "0x1.1373e6b1896cdp-1", "0x0.0p+0", "0x1.8ccccccccccd6p-3",
+                "-0x1.0000000000000p-2", "0x0.0p+0",
+            ],
+            "db55d0889a806ca0f3f4d4b7c5e654ad30e7f64c700bbbb89d7e4e4d2c3bc562",
+        ),
+        (11, False, 300): (
+            [
+                "0x1.7c0205f0abb48p-4", "0x1.93a7a82e14a9fp-1", "0x1.5f347a6259923p-4", "0x1.9247927dd5585p-1",
+                "0x1.810c583887674p-4", "0x1.982f3b220a1e0p-1", "0x1.33077b9783238p-3", "0x1.643ca5368691cp-2",
+                "-0x1.d11c320afe2fap-2", "0x1.5967a6d44779cp-3",
+            ],
+            "7277869ae5bf90d203b7be087311cc736ea8a74979d58d9f4a9a0341ddf9cb01",
+        ),
+        (12, True, 300): (
+            [
+                "0x1.0de9bd37a6f50p-4", "0x1.16f4de9bd37aap-1", "0x1.0de9bd37a6f50p-4", "0x1.16f4de9bd37aap-1",
+                "0x1.8a84acbe8d944p-4", "0x1.224490401c7eap-1", "0x0.0p+0", "0x1.19f49f49f49f0p-2",
+                "-0x1.0000000000000p-1", "0x1.0000000000000p-2",
+            ],
+            "02e1f3e59df804de3d16c9de0441f3f6ffe324a9e17fb164e1625f463bc1b4fb",
+        ),
+    }
+
+    @staticmethod
+    def instance(seed, grid, n):
+        """Signed random data or a 0.25 grid, with zero-width scenarios and
+        the first row repeated at the end."""
+        rng = np.random.default_rng(seed)
+        if grid:
+            lower = rng.integers(-4, 5, n) / 4.0
+            width = rng.integers(0, 5, n) / 4.0
+            weight = rng.integers(1, 5, n).astype(float)
+        else:
+            lower = rng.normal(size=n)
+            width = rng.exponential(size=n) * (rng.random(n) > 0.2)
+            weight = rng.uniform(0.1, 1.0, n)
+        lower[-1], width[-1], weight[-1] = lower[0], width[0], weight[0]
+        return DiscreteInstance(lower, lower + width, weight / weight.sum())
+
+    @staticmethod
+    def answers(inst):
+        band = median_benchmark(inst)
+        ends = np.unique(np.concatenate([inst.lower, inst.upper]))
+        inside = ends[(ends >= band.lo) & (ends <= band.hi)]
+        pivots = (band.lo + 0.5 * band.width, float(inside[inside.size // 2]))
+        box = aumann_interval(inst)
+        q_band = quantile_attainability_range(inst, 0.3)
+        intervals = [median_restricted_mean_interval(inst, m) for m in pivots] + [
+            quantile_restricted_mean_interval(
+                inst, QuantileRestriction(0.3, q_band.lo + 0.6 * q_band.width)
+            ),
+            mean_restricted_quantile_range(inst, 0.5, box.lo + 0.02 * box.width),
+            mean_restricted_quantile_range(inst, 0.3, box.lo + 0.6 * box.width),
+        ]
+        digest = hashlib.sha256()
+        for m in pivots:
+            for sel in (
+                extremal_selection(inst, m, "max"),
+                extremal_selection(inst, m, "min"),
+                mixed_selection(inst, m, 0.3),
+            ):
+                for arr in (sel.scenario, sel.value, sel.subweight):
+                    digest.update(arr.tobytes())
+        return [v.hex() for iv in intervals for v in iv.as_tuple()], digest.hexdigest()
+
+    @pytest.mark.parametrize("seed, grid, n", list(PINNED))
+    def test_answers_keep_their_bits(self, seed, grid, n):
+        hexes, digest = self.answers(self.instance(seed, grid, n))
+        assert (hexes, digest) == self.PINNED[seed, grid, n]
