@@ -103,12 +103,6 @@ BOUND_GRID = 201     # points per bound curve: each one recomputes an interval
 # ingestion
 
 
-def load_csv(path) -> DiscreteInstance:
-    """Read scenarios from a CSV with header lower,upper[,weight]."""
-    with Path(path).open("rb") as fh:
-        return parse_csv(fh)
-
-
 def parse_csv(data: str | bytes | BinaryIO) -> DiscreteInstance:
     """Scenarios from CSV text, a CSV file's bytes or a binary file open at
     its start; blank and ``#`` lines are skipped, and errors name the line

@@ -122,21 +122,22 @@ def gap_profile(instance: DiscreteInstance, target: TargetSet) -> GapProfile:
     lo, hi = instance.lower, instance.upper
     hit, contain = np.zeros(instance.n, dtype=bool), np.zeros(instance.n, dtype=bool)
     # complement extremes: where the endpoint sits inside a piece, the
-    # nearest exit is that piece's far edge (a closure point).  Every target
-    # has a piece, whose np.where turns these starts into new arrays (plain
-    # ops and np.where cost less than masked ufuncs at 50k scenarios).
-    a_plus, a_minus, out_low, out_high = -np.inf, np.inf, lo, hi
+    # nearest exit is that piece's far edge (a closure point).  Columns are
+    # written in place: np.where holds a column twice, masked ufuncs are slow.
+    a_plus, a_minus = np.full(instance.n, -np.inf), np.full(instance.n, np.inf)
+    out_low, out_high, edge = lo.copy(), hi.copy(), np.empty(instance.n)
     for a, b in target.pieces:
         a_lo, lo_b, a_hi, hi_b = a <= lo, lo <= b, a <= hi, hi <= b
         meets = lo_b & a_hi
         hit |= meets
-        a_minus = np.where(meets, np.minimum(a_minus, np.maximum(a, lo)), a_minus)
-        a_plus = np.where(meets, np.maximum(a_plus, np.minimum(b, hi)), a_plus)
+        np.putmask(a_minus, meets, np.minimum(a_minus, np.maximum(a, lo, out=edge), out=edge))
+        np.putmask(a_plus, meets, np.maximum(a_plus, np.minimum(b, hi, out=edge), out=edge))
         contain |= a_lo & hi_b
-        out_low = np.where(a_lo & lo_b, b, out_low)
-        out_high = np.where(a_hi & hi_b, a, out_high)
-    out_low[contain] = np.inf
-    out_high[contain] = -np.inf
+        np.putmask(out_low, a_lo & lo_b, b)
+        np.putmask(out_high, a_hi & hi_b, a)
+        del a_lo, lo_b, a_hi, hi_b, meets   # freed before the next piece's masks are made
+    np.putmask(out_low, contain, np.inf)
+    np.putmask(out_high, contain, -np.inf)
     return GapProfile(lo, hi, a_plus, a_minus, hit, contain, out_low, out_high)
 
 

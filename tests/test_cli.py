@@ -30,7 +30,6 @@ from selbounds.cli import (
     AnalysisRequest,
     _parse_bulk,
     _parse_lines,
-    load_csv,
     main,
     parse_csv,
     report_to_json,
@@ -38,18 +37,24 @@ from selbounds.cli import (
 )
 
 
+def read_csv(path) -> DiscreteInstance:
+    """The instance of a CSV file, parsed from the file open in binary mode."""
+    with Path(path).open("rb") as fh:
+        return parse_csv(fh)
+
+
 class TestLoadCsv:
     def test_equal_weights_default(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("lower,upper\n0,1\n1,2\n")
-        inst = load_csv(p)
+        inst = read_csv(p)
         assert inst.n == 2
         assert np.allclose(inst.weight, [0.5, 0.5])
 
     def test_weighted_two_state(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text("lower,upper,weight\n-2,0,1\n0,2,1\n")
-        inst = load_csv(p)
+        inst = read_csv(p)
         assert np.allclose(inst.lower, [-2, 0])
         assert np.allclose(inst.weight, [0.5, 0.5])
 
@@ -84,12 +89,12 @@ class TestLoadCsv:
     def test_round_trip(self, tmp_path):
         src = tmp_path / "src.csv"
         src.write_text("lower,upper,weight\n0.1,0.9,0.25\n-1,2,0.75\n")
-        inst = load_csv(src)
+        inst = read_csv(src)
         dst = tmp_path / "dst.csv"
         # 17 significant digits carry every double exactly
         rows = [f"{l:.17g},{u:.17g},{w:.17g}" for l, u, w in zip(inst.lower, inst.upper, inst.weight)]
         dst.write_text("\n".join(["lower,upper,weight", *rows]) + "\n")
-        back = load_csv(dst)
+        back = read_csv(dst)
         assert np.array_equal(inst.lower, back.lower)
         assert np.array_equal(inst.upper, back.upper)
         assert np.array_equal(inst.weight, back.weight)
@@ -214,7 +219,7 @@ class TestBulkParseParity:
         p = tmp_path / "bad.csv"
         p.write_bytes(b"lower,upper\n0,1\n\xff,2\n")
         with pytest.raises(ParseError) as exc:
-            load_csv(p)
+            read_csv(p)
         assert exc.value.line == 3
         with pytest.raises(ParseError) as exc:
             parse_csv(b"# caf\xc3\xa9\r\nlower,upper\r\n0,\xe9\n")
@@ -316,7 +321,7 @@ class TestStreamedIngest:
         path = tmp_path / "in.csv"
         path.write_bytes(data)
         assert _file_outcome(path) == want
-        assert _outcome(load_csv, path) == want
+        assert _outcome(read_csv, path) == want
 
     @pytest.mark.parametrize("after", [0, 100, 5000])
     def test_crlf_split_across_a_chunk_boundary(self, tmp_path, monkeypatch, after):
@@ -345,7 +350,7 @@ class TestStreamedIngest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # loadtxt's "input contained no data" would be one
             with pytest.raises(EmptyFile):
-                load_csv(path)
+                read_csv(path)
             with pytest.raises(EmptyFile):
                 AnalysisRequest(csv_path=str(path)).build_instance()
 
@@ -368,7 +373,7 @@ class TestStreamedIngest:
             return fh
 
         monkeypatch.setattr(Path, "open", counted)
-        load_csv(path)
+        read_csv(path)
         # chunks of the default size, then the empty read at the end
         assert len(reads) == -(-path.stat().st_size // (1 << 18)) + 1
         assert all(a == (1 << 18,) for a in reads)
@@ -549,7 +554,7 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("at", [0.05, 0.7])
     def test_mean_pin_report(self, csv_path, at):
-        inst = load_csv(csv_path)
+        inst = read_csv(csv_path)
         box = aumann_interval(inst)
         request = AnalysisRequest(
             csv_path=str(csv_path),
@@ -560,14 +565,14 @@ class TestWorkingSet:
         assert self.peak(lambda: run(request)) <= 170 * self.N
 
     def test_moment_report(self, csv_path):
-        inst = load_csv(csv_path)
+        inst = read_csv(csv_path)
         image = power_image_interval(inst, 2.0)
         request = AnalysisRequest(csv_path=str(csv_path), restriction=("moment", 2.0, image.lo + 0.37 * image.width))
         del inst
         assert self.peak(lambda: run(request)) <= 135 * self.N
 
     def test_marginal_law(self, csv_path):
-        inst = load_csv(csv_path)
+        inst = read_csv(csv_path)
         assert self.peak(lambda: marginal_law(inst, "upper")) <= 48 * self.N
 
     def test_no_marginal_law_is_alive_in_a_mean_pin_or_moment_solve(self, csv_path, monkeypatch):
@@ -577,7 +582,7 @@ class TestWorkingSet:
             monkeypatch.setattr(
                 cli_module, name, lambda inst, *a, real=real: alive.append(len(inst._laws)) or real(inst, *a)
             )
-        inst = load_csv(csv_path)
+        inst = read_csv(csv_path)
         box, image = aumann_interval(inst), power_image_interval(inst, 2.0)
         target = TargetSet.from_pairs([[1.0, 2.0], [3.0, 3.5]])
         run(AnalysisRequest(csv_path=str(csv_path), restriction=("mean", box.lo + 0.7 * box.width), target=target))

@@ -492,19 +492,18 @@ class TestMeanRestrictedQuantileRange:
 
     def test_bisection_call_count(self, monkeypatch):
         # one monotone bisection per endpoint, not a scan over every
-        # breakpoint; a crossing reads its segment's line from one partition
-        # and one pivot fill at the midpoint, with no further interval
+        # breakpoint; each probe fills only the side its test reads, and a
+        # crossing reads its segment's line from one partition and one fill
+        # at the midpoint, so every partition gets exactly one fill
         import selbounds.extensions as ext
         import selbounds.median as med
 
-        calls, parts = [], []
-        real, real_partition = ext.pivot_mean_interval, med.partition
-        monkeypatch.setattr(
-            ext, "pivot_mean_interval", lambda *a: calls.append(a[1]) or real(*a)
-        )
+        parts, fills = [], []
+        real_partition, real_fill = med.partition, ext._pivot_fill
         counted = lambda *a: parts.append(a[1]) or real_partition(*a)
         for module in (ext, med):
             monkeypatch.setattr(module, "partition", counted)
+        monkeypatch.setattr(ext, "_pivot_fill", lambda *a: fills.append(a[1].m) or real_fill(*a))
         inst = random_instance(np.random.default_rng(37), n=2000)
         box = aumann_interval(inst)
         band = quantile_attainability_range(inst, 0.5)
@@ -512,17 +511,18 @@ class TestMeanRestrictedQuantileRange:
         breakpoints = int(np.count_nonzero((ends >= band.lo) & (ends <= band.hi)))
         assert breakpoints > 500
         # at 40% of the mean box both ends are band ends; at 2% the lower
-        # one is a crossing inside a segment
+        # one is a crossing inside a segment, partitioned last
         for frac, crossings in ((0.4, 0), (0.02, 1)):
-            calls.clear()
             parts.clear()
+            fills.clear()
             kappa = box.lo + frac * box.width
             got = mean_restricted_quantile_range(inst, 0.5, kappa)
-            assert len(calls) <= 2 * math.ceil(math.log2(breakpoints + 1)) + 2
-            assert set(calls) <= set(ends) | {band.lo, band.hi}
-            assert len(parts) == len(calls) + crossings
+            probes = parts[: len(parts) - crossings]
+            assert len(probes) <= 2 * math.ceil(math.log2(breakpoints + 1)) + 2
+            assert set(probes) <= set(ends) | {band.lo, band.hi}
+            assert fills == parts
             for q in (got.lo, got.hi):
-                iv = real(inst, q, 0.5, 0.5)
+                iv = med.pivot_mean_interval(inst, q, 0.5, 0.5)
                 assert iv.lo - 1e-9 <= kappa <= iv.hi + 1e-9
 
     def test_inside_attainability(self):
