@@ -24,7 +24,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -182,17 +181,17 @@ class _BulkReader:
     The stream is read once, in chunks, each cut after its last ``\\n`` so
     that a ``\\r\\n`` never straddles a cut.  Each piece is checked before it
     is read: :class:`_Declined` is raised at the first non-ASCII byte,
-    ``\\r`` outside ``\\r\\n`` or other line boundary, when the first line
-    is not a header, and at the end when no data line followed the header.
-    Iterating yields the bytes after the header of every piece that holds a
-    byte other than a line end; ``ncols`` is the header's column count.
+    ``\\r`` outside ``\\r\\n`` or other line boundary, and when the first
+    line is not a header.  Iterating yields the bytes after the header of
+    every piece that holds a byte other than a line end; ``ncols`` is the
+    header's column count.
     """
 
     def __init__(self, fh):
         self.fh, self.ncols = fh, None
 
     def __iter__(self):
-        held, content = [], False   # held: the bytes after the last cut
+        held = []   # the bytes after the last cut
         while chunk := self.fh.read(_CHUNK):
             cut = chunk.rfind(b"\n") + 1
             if not cut:
@@ -201,13 +200,9 @@ class _BulkReader:
             piece = b"".join([*held, memoryview(chunk)[:cut]])   # one copy
             held = [chunk[cut:]]
             if data := self._data(piece):
-                content = True
                 yield data
         if data := self._data(b"".join(held)):
-            content = True
             yield data
-        if not content:
-            raise _Declined   # no data line: loadtxt would warn and return nothing
 
     def _data(self, piece: bytes) -> bytes:
         """The bytes of ``piece`` after the header, or ``b""`` when they are
@@ -357,13 +352,11 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
         and (at[0] > 0 or kinds[0] & _FOLLOWERS[_EOL])
     ):
         return None
-    signed = not (kinds >= _DOT).all()
-    if signed:
-        sign = np.flatnonzero(kinds < _DOT)
-        if not (at[sign] - np.where(sign > 0, at[sign - 1], -1) == 1).all():
-            return None
-        marks = kinds >= _DOT
-        at, kinds = at[marks], kinds[marks]
+    sign = np.flatnonzero(kinds < _DOT)
+    if not (at[sign] - np.where(sign > 0, at[sign - 1], -1) == 1).all():
+        return None
+    marks = kinds >= _DOT
+    at, kinds = at[marks], kinds[marks]
     # the marks left are dots, exponent marks and separators.  Per cell:
     # its bytes [start, end), its mantissa [start, mend) and whether it has
     # a dot (the mark before mend) and an exponent (the mark before end); a
@@ -387,9 +380,8 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
     start[1:] = end[:-1] + 1
     digits = mend - start
     digits -= dotted
-    neg = raw[start] == ord("-") if signed else None
-    if signed:
-        digits -= neg
+    neg = raw[start] == ord("-")
+    digits -= neg
     if not (digits > 0).all() or (end[ex] - mend[ex] - 1 > _MAX_EXP_CHARS).any():
         return None
     long = np.flatnonzero(digits > _MAX_DIGITS)
@@ -405,22 +397,20 @@ def _plain_cells(data: bytes, ncols: int) -> np.ndarray | None:
     k = mend - dot   # the digits after the dot
     k -= 1
     k *= dotted
-    minus_e = raw[mend[ex] + 1] == ord("-") if signed else None
+    minus_e = raw[mend[ex] + 1] == ord("-")
     del at, kinds, dot, dotted, start, mend, digits
     # a cell's tokens: its mantissa, then its exponent if it has one
     m = np.fromstring(data.translate(_INTS, b".-+"), dtype=np.uint64, count=end.size + ex.size, sep=",")
     if ex.size:
         at_exp = ex + np.arange(1, ex.size + 1)
         power = m[at_exp].astype(np.int64)
-        if signed:
-            np.negative(power, out=power, where=minus_e)
+        np.negative(power, out=power, where=minus_e)
         k[ex] -= power
         m = np.delete(m, at_exp)
     v = m / np.take(_POW10, k, mode="clip")
     slow = np.flatnonzero((m >= 1 << 53) | (k < 0) | (k > 22))
     v[slow], exact = _scaled(m[slow], k[slow])
-    if signed:
-        np.copysign(v, -1.0, out=v, where=neg)
+    np.copysign(v, -1.0, out=v, where=neg)
     for c in slow[~exact].tolist():
         v[c] = float(data[end[c - 1] + 1 if c else 0:end[c]])
     return v.reshape(-1, ncols)
@@ -465,20 +455,13 @@ def _parse_bulk(fh) -> DiscreteInstance | None:
             rows += len(block)
     except (_Declined, ValueError):
         return None
+    if not rows:
+        return None   # no data line: the line parser raises EmptyFile
     cells.resize((rows, reader.ncols), refcheck=False)
     if np.any(cells[:, 0] > cells[:, 1] + INVERSION_ATOL):
         return None
-    # one instance, its weights divided as normalize divides them: by the sum
-    # of a contiguous copy, which is what its total_mass would sum
-    weight = np.ascontiguousarray(cells[:, 2]) if reader.ncols == 3 else np.ones(cells.shape[0])
-    with np.errstate(over="ignore"):
-        total = float(weight.sum())
-    if not 0.0 < total < math.inf:
-        # a bad weight or a sum that overflows: refused as the line parser
-        # refuses them, by the constructor or by normalize
-        return normalize(DiscreteInstance(cells[:, 0], cells[:, 1], weight))
-    weight /= total
-    return DiscreteInstance(cells[:, 0], cells[:, 1], weight)
+    weight = cells[:, 2] if reader.ncols == 3 else np.ones(rows)
+    return normalize(DiscreteInstance(cells[:, 0], cells[:, 1], weight))
 
 
 def _parse_lines(lines: list[str]) -> DiscreteInstance:

@@ -245,7 +245,7 @@ def _side_free(b: _Breaks, probes):
     lam *= 0.5
     if probes[0] == 0:
         lam[0] = 2.0 * ends[0] - 1.0
-    col = lam.reshape((m, 1) if m > 1 else (1,))   # one row is computed flat: 2-d broadcasts cost more
+    col = lam[:, None]
     f_lo = col * b.lo_r   # lo + lam lo^r and hi + lam hi^r, in place
     f_lo += b.lo
     f_hi = col * b.hi_r
@@ -271,11 +271,9 @@ def _regimes(b: _Breaks, probes, maximize: bool, shared):
     end but the last segment's (C summed over the endpoint optimizers, W the
     weight at sign*t: -t on the min side for odd r, where x + lam x^r is -g)."""
     lam, t, g, f_lo, f_hi, right = shared or _side_free(b, probes)
-    m, flip = t.size, b.odd and not maximize
+    flip = b.odd and not maximize
     beats = np.greater if maximize else np.less
-    x, f_x = (-t, -g) if flip else (t, g)
-    rows = (m, 1) if m > 1 else (1,)
-    x, f_x = x.reshape(rows), f_x.reshape(rows)
+    x, f_x = (-t[:, None], -g[:, None]) if flip else (t[:, None], g[:, None])
     mid = beats(f_x, f_lo)   # x inside lo < x < hi, beating both endpoints
     mid &= beats(f_x, f_hi)
     mid &= np.less(b.lo, x)
@@ -292,12 +290,12 @@ def _regimes(b: _Breaks, probes, maximize: bool, shared):
     ones = mid.astype(float)   # what np.dot casts the mask to, cast once for two products
     c -= np.dot(ones, weighted)
     c += b.mean_lo_r
-    reached = np.dot(ones, b.w).reshape(m)[:right.size]   # W, then C + sign W t^r
+    reached = np.dot(ones, b.w)[:right.size]   # W, then C + sign W t^r
     reached *= right
     if flip:
         np.negative(reached, out=reached)
-    reached += c.reshape(m)[:right.size]
-    return lam, up.reshape(m, -1), mid.reshape(m, -1), reached
+    reached += c[:right.size]
+    return lam, up, mid, reached
 
 
 def _row_sums(b: _Breaks, row):

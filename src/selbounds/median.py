@@ -42,8 +42,6 @@ class MedianPartition:
     p0: float
     alpha_minus: float
     alpha_plus: float
-    u_gaps: np.ndarray   # upper - m on the contact set
-    l_gaps: np.ndarray   # m - lower on the contact set
     feasible: bool
 
 
@@ -64,8 +62,6 @@ def partition(instance: DiscreteInstance, m: float) -> MedianPartition:
         p0=p0,
         alpha_minus=max(0.5 - p_minus, 0.0),
         alpha_plus=max(0.5 - p_plus, 0.0),
-        u_gaps=instance.upper[ci] - m,
-        l_gaps=m - instance.lower[ci],
         feasible=(p_minus <= 0.5 + _ATOL and p_plus <= 0.5 + _ATOL),
     )
 
@@ -92,11 +88,12 @@ def _pivot_fill(instance: DiscreteInstance, part: MedianPartition, need: float, 
     which only the selections scatter (:func:`_pivot_mass`; a 201-point
     median curve export at 50k took 0.55 s of CPU when all did, 0.46 now).
     """
-    outside, gaps = (part.p_minus, part.u_gaps) if side == "max" else (part.p_plus, part.l_gaps)
-    mass = min(max(need - outside, 0.0), part.p0)
+    ci = part.contact
+    mass = min(max(need - (part.p_minus if side == "max" else part.p_plus), 0.0), part.p0)
     cost, fill = 0.0, None
     if mass > 0.0:
-        *fill, cost = _greedy_fill(gaps, instance.weight[part.contact], mass)
+        gaps = instance.upper[ci] - part.m if side == "max" else part.m - instance.lower[ci]
+        *fill, cost = _greedy_fill(gaps, instance.weight[ci], mass)
     return (base - cost if side == "max" else base + cost), mass, fill
 
 

@@ -348,11 +348,14 @@ class TestMomentSearchBatches:
         (2, 5.0, 5): ["-0x1.46a81de257928p-3", "0x1.7756098959d67p-4", "0x1.0000000000000p+0", "0x1.fe2c4f2e6da66p-3"],
         (2, 5.0, 40): ["-0x1.22f95b605fb27p-5", "0x1.88585a80c1b10p-2", "0x1.304dc1edb16b2p-1", "0x1.0000000000000p+0"],
         (3, 5.0, 300): ["0x1.8284f8321bc8bp-4", "0x1.15b07b76456eap-1", "0x1.6e1bcc574b26ap-3", "0x1.0000000000000p+0"],
+        # past CELLS / 2 scenarios every pass probes one segment
+        (2, 2.0, 3000): ["0x1.ce51d995ba480p-1", "0x1.1568ff377cfe6p+0", "0x1.2dc0f97e1ca25p-2", "0x1.0000000000000p+0"],
+        (4, 3.0, 3000): ["0x1.71d0d672329f6p-4", "0x1.f2e1daa7767abp-2", "0x1.3721882e109ddp-5", "0x1.43b9a50891210p-3"],
     }
 
     @pytest.mark.parametrize("seed, r, n", list(PINNED))
     def test_answers_keep_their_bits(self, seed, r, n):
-        # random and 0.25-grid data, each case with a jump on one side
+        # random and 0.25-grid data, each case with a jump on one side or both
         import selbounds.extensions as ext
 
         inst = self.instance(np.random.default_rng(seed), r, n)

@@ -66,7 +66,7 @@ class TestFillOrder:
         m = float(np.mean(median_benchmark(inst).as_tuple()))
         part = partition(inst, m)
         assert part.contact.size > 1000
-        for gaps in (part.u_gaps, part.l_gaps):
+        for gaps in (inst.upper[part.contact] - m, m - inst.lower[part.contact]):
             assert np.unique(gaps).size == gaps.size   # tie-free pools
         monkeypatch.setattr(np, "lexsort", lexsort)
         monkeypatch.setattr(np, "argsort", argsort)
