@@ -38,6 +38,7 @@ from .errors import (
     InfeasibleRestriction,
     InputError,
     InvertedInterval,
+    InstanceTooLarge,
     IoError,
     ParseError,
     SelBoundsError,
@@ -54,6 +55,7 @@ from .model import (
 )
 from .benchmarks import aumann_interval, median_benchmark, quantile_attainability_range
 from .median import (
+    CostTerms,
     _median_interval,
     extremal_selection,
     marginal_cost_terms,
@@ -92,6 +94,14 @@ RESTRICTIONS = {
     "mean": ("restrict-mean-prob", "event probability under a mean pin", ("kappa",)),
     "moment": ("restrict-moment", "mean interval under a moment pin", ("r", "mu")),
     "quantile": ("restrict-quantile", "mean interval under a fixed quantile", ("alpha", "q")),
+}
+
+# kind -> (the section verify checks, its oracle of (instance, target, *restriction values))
+_ORACLES = {
+    "median": ("median_mean", lambda inst, _, m: oracle.exact_median_mean_bounds(inst, m)),
+    "mean": ("probability", oracle.exact_prob_bounds),
+    "moment": ("moment_mean", lambda inst, _, r, mu: oracle.exact_moment_mean_bounds(inst, r, mu)),
+    "quantile": ("quantile_mean", lambda inst, _, a, q: oracle.exact_quantile_mean_bounds(inst, a, q)),
 }
 
 EXPORT_GRID = 1001   # points per exported CDF curve
@@ -171,20 +181,16 @@ _CONTENT = re.compile(rb"[^\r\n]")
 _CHUNK = 1 << 18
 
 
-class _Declined(Exception):
-    """The bulk pass could read these bytes differently from the line parser."""
-
-
 class _BulkReader:
     """The data lines of a binary CSV stream, a piece at a time.
 
     The stream is read once, in chunks, each cut after its last ``\\n`` so
     that a ``\\r\\n`` never straddles a cut.  Each piece is checked before it
-    is read: :class:`_Declined` is raised at the first non-ASCII byte,
-    ``\\r`` outside ``\\r\\n`` or other line boundary, and when the first
-    line is not a header.  Iterating yields the bytes after the header of
-    every piece that holds a byte other than a line end; ``ncols`` is the
-    header's column count.
+    is read: ValueError, the bulk pass's decline, is raised at the first
+    non-ASCII byte, ``\\r`` outside ``\\r\\n`` or other line boundary, and
+    when the first line is not a header.  Iterating yields the bytes after
+    the header of every piece that holds a byte other than a line end;
+    ``ncols`` is the header's column count.
     """
 
     def __init__(self, fh):
@@ -206,19 +212,19 @@ class _BulkReader:
 
     def _data(self, piece: bytes) -> bytes:
         """The bytes of ``piece`` after the header, or ``b""`` when they are
-        line ends only; raises :class:`_Declined` unless the bulk pass may
-        read ``piece``."""
+        line ends only; raises ValueError unless the bulk pass may read
+        ``piece``."""
         if (
             not piece.isascii()
             or any(br in piece for br in _OTHER_BREAKS)
             or (b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n"))
         ):
-            raise _Declined
+            raise ValueError("bytes the line parser may read differently")
         if self.ncols is None:   # the first piece: its first line is the header
             start = piece.find(b"\n")
             self.ncols = _csv_columns(piece[:start].decode("ascii")) if start >= 0 else None
             if self.ncols is None:
-                raise _Declined   # a file of one line has no data line
+                raise ValueError("no header line")   # a file of one line has no data line
             piece = piece[start + 1:]
         return piece if _CONTENT.search(piece) else b""
 
@@ -437,8 +443,8 @@ def _parse_bulk(fh) -> DiscreteInstance | None:
     pieces read exactly as ``float`` reads them; ``np.loadtxt`` reads the
     rest, and strips the same whitespace around cells and skips empty lines
     as the line parser does.  Everything else the line parser accepts or
-    rejects on its own makes ``loadtxt`` raise, or is caught by
-    :class:`_BulkReader` or below: a comment or whitespace-only line, a
+    rejects on its own makes ``loadtxt`` or :class:`_BulkReader` raise
+    ValueError, or is caught below: a comment or whitespace-only line, a
     ragged row, a cell ``float`` reads and numpy does not (``1_0``), a
     header not on the first line, no data line, an inverted row.
     """
@@ -453,7 +459,7 @@ def _parse_bulk(fh) -> DiscreteInstance | None:
                 cells.resize((max(2 * len(cells), rows + len(block)), reader.ncols), refcheck=False)
             cells[rows:rows + len(block)] = block
             rows += len(block)
-    except (_Declined, ValueError):
+    except ValueError:
         return None
     if not rows:
         return None   # no data line: the line parser raises EmptyFile
@@ -551,6 +557,11 @@ def _interval(iv: ClosedInterval, method: str) -> dict:
     return {"lo": iv.lo, "hi": iv.hi, "method": method}
 
 
+def _cost_terms(terms: CostTerms, method: str) -> dict:
+    implied = _interval(terms.implied, method)
+    return {"s_lower": terms.s_lower, "s_upper": terms.s_upper, "implied": implied}
+
+
 def run(request: AnalysisRequest) -> dict:
     """Execute a request and assemble the report dictionary.
 
@@ -632,11 +643,7 @@ def _run_restriction(request, instance, median_range, prof, restricted) -> None:
             )
         if median_range.contains(m):
             terms = marginal_cost_terms(instance, m)
-            restricted["marginal_cost_terms"] = {
-                "s_lower": terms.s_lower,
-                "s_upper": terms.s_upper,
-                "implied": _interval(terms.implied, "closed-form"),
-            }
+            restricted["marginal_cost_terms"] = _cost_terms(terms, "closed-form")
     elif kind == "mean":
         kappa = request.restriction[1]
         if prof is None:
@@ -671,35 +678,23 @@ def _run_restriction(request, instance, median_range, prof, restricted) -> None:
 
 
 def _oracle_check(request, instance, restricted) -> dict:
-    kind = request.restriction[0]
-    out = {"ran": False, "max_delta": None, "note": None}
-    try:
-        if kind == "median" and instance.n <= 12 and "median_mean" in restricted:
-            ref = oracle.exact_median_mean_bounds(instance, request.restriction[1])
-            mine = restricted["median_mean"]
-        elif kind == "mean" and instance.n <= 8 and "probability" in restricted:
-            ref = oracle.exact_prob_bounds(instance, request.target, request.restriction[1])
-            mine = restricted["probability"]
-        elif kind == "moment" and instance.n <= 6 and "moment_mean" in restricted:
-            ref = oracle.exact_moment_mean_bounds(
-                instance, request.restriction[1], request.restriction[2]
-            )
-            mine = restricted["moment_mean"]
-        elif kind == "quantile" and instance.n <= 12 and "quantile_mean" in restricted:
-            ref = oracle.exact_quantile_mean_bounds(
-                instance, request.restriction[1], request.restriction[2]
-            )
-            mine = restricted["quantile_mean"]
-        else:
-            out["note"] = "no oracle for this restriction or instance too large"
-            return out
-    except SelBoundsError as exc:
-        out["note"] = f"oracle raised: {exc}"
+    """The restricted section against its exhaustive oracle; the oracle
+    itself refuses, by :class:`InstanceTooLarge`, an instance past its size
+    limit, and an infeasible restriction has no section to check."""
+    key, exact = _ORACLES[request.restriction[0]]
+    note = "no oracle for this restriction or instance too large"
+    out = {"ran": False, "max_delta": None, "note": note}
+    if key not in restricted:
         return out
-    out["ran"] = True
-    out["oracle"] = {"lo": ref.lo, "hi": ref.hi}
-    out["max_delta"] = max(abs(ref.lo - mine["lo"]), abs(ref.hi - mine["hi"]))
-    return out
+    try:
+        ref = exact(instance, request.target, *request.restriction[1:])
+    except InstanceTooLarge:
+        return out
+    except SelBoundsError as exc:
+        return {**out, "note": f"oracle raised: {exc}"}
+    mine = restricted[key]
+    delta = max(abs(ref.lo - mine["lo"]), abs(ref.hi - mine["hi"]))
+    return {"ran": True, "max_delta": delta, "note": None, "oracle": {"lo": ref.lo, "hi": ref.hi}}
 
 
 def report_to_json(report: dict) -> str:
@@ -760,9 +755,8 @@ def export_curves(
             np.column_stack([ts, sel_lo.cdf(ts), sel_hi.cdf(ts)]),
             "CDFs of the extremal median-restricted selections",
         )
-        lo_med = lo_law.quantile(0.5)
-        hi_med = hi_law.quantile(0.5)
-        ms = np.linspace(lo_med, hi_med, BOUND_GRID)
+        medians = median_benchmark(instance)
+        ms = np.linspace(medians.lo, medians.hi, BOUND_GRID)
         rows = []
         for mm in ms:
             iv = median_restricted_mean_interval(instance, float(mm))
@@ -808,31 +802,20 @@ def chi2_example(grid_size: int = 200_001, export_path: str | None = None) -> di
     """
     spec = ComonotoneSpec(parse_law("chi2(2)"), parse_law("chi2(5)"), grid_size)
     instance = discretize(spec)
-    low = _marginal(instance, "lower")
-    high = _marginal(instance, "upper")
-    m_l = low.quantile(0.5)
-    m_u = high.quantile(0.5)
-    m = 0.3 * m_l + 0.7 * m_u
+    medians = median_benchmark(instance)
+    m = 0.3 * medians.lo + 0.7 * medians.hi
     interval = median_restricted_mean_interval(instance, m)
-    terms_discrete = marginal_cost_terms(instance, m)
-    terms_param = marginal_cost_terms_parametric(spec.lower_law, spec.upper_law, m)
     report = {
         "grid_size": grid_size,
-        "median_lower": m_l,
-        "median_upper": m_u,
+        "median_lower": medians.lo,
+        "median_upper": medians.hi,
         "m": m,
         "mean_interval": _interval(aumann_interval(instance), "closed-form"),
         "restricted_interval": _interval(interval, "closed-form"),
-        "cost_terms_discrete": {
-            "s_lower": terms_discrete.s_lower,
-            "s_upper": terms_discrete.s_upper,
-            "implied": _interval(terms_discrete.implied, "closed-form"),
-        },
-        "cost_terms_parametric": {
-            "s_lower": terms_param.s_lower,
-            "s_upper": terms_param.s_upper,
-            "implied": _interval(terms_param.implied, "quadrature"),
-        },
+        "cost_terms_discrete": _cost_terms(marginal_cost_terms(instance, m), "closed-form"),
+        "cost_terms_parametric": _cost_terms(
+            marginal_cost_terms_parametric(spec.lower_law, spec.upper_law, m), "quadrature"
+        ),
     }
     if export_path:
         request = AnalysisRequest(spec=spec, restriction=("median", m))
@@ -968,9 +951,7 @@ def main(argv=None) -> int:
         return 2
     except ParseError as exc:
         return _fail(str(exc) if exc.line is None else f"line {exc.line}: {exc}")
-    except SelBoundsError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (SelBoundsError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -36,8 +36,6 @@ from .model import ClosedInterval, DiscreteInstance
 from .benchmarks import Selection, _cells_mean, _clip_kappa, aumann_interval
 from .rearrange import _fill_at, _fill_order, _sort_fill
 
-_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TargetSet:
@@ -88,8 +86,9 @@ class GapProfile:
     are the distances from the interval endpoints to those points (+inf on
     miss scenarios), formed on each read.  out_low / out_high are the
     infimum and supremum of Y minus A (+inf / -inf on contained scenarios);
-    they are closure points and need not belong to Y minus A itself.
-    lower / upper are the instance's own endpoint arrays.
+    they are closure points and need not belong to Y minus A itself, and
+    the partial scenarios re-enter A from them over the gaps of
+    :meth:`_reentry`.  lower / upper are the instance's own endpoint arrays.
     """
 
     lower: np.ndarray
@@ -107,6 +106,14 @@ class GapProfile:
         if above:
             return np.maximum(self.upper[at] - self.a_plus[at], 0.0)
         return np.maximum(self.a_minus[at] - self.lower[at], 0.0)
+
+    def _reentry(self, above: bool, at=slice(None)):
+        """a_plus - out_high (``above``) or out_low - a_minus at the
+        scenarios ``at``, floored at 0: the mean a partial scenario moves by
+        leaving the complement's closure point for the target."""
+        if above:
+            return np.maximum(self.a_plus[at] - self.out_high[at], 0.0)
+        return np.maximum(self.out_low[at] - self.a_minus[at], 0.0)
 
     @property
     def delta_plus(self) -> np.ndarray:
@@ -181,13 +188,12 @@ def _engage(fill: _MeanFill, need: np.ndarray):
 
     The first k scenarios of the order engage whole and scenario k engages
     the fraction ``share`` of its weight that makes the shift exact; the
-    probability is the engaged weight.  A shift within tolerance of zero
-    engages only the free scenarios, and only then is ``share`` 0.
+    probability is the engaged weight.  A zero shift engages only the free
+    scenarios, and only then is ``share`` 0.
     """
     if need.max() > fill.reach + max(1e-9, 1e-9 * fill.reach):
         raise KappaInfeasible("mean target outside the reachable range")
     mass = np.minimum(need, min(fill.reach, fill.cap))
-    mass[need <= _ATOL] = 0.0
     if fill.cost.size == 0:
         return np.zeros(mass.shape, dtype=int), np.zeros(mass.shape), np.zeros(mass.shape)
     k, frac = _fill_at(fill.cum_cost, mass)
@@ -232,10 +238,7 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
         base = instance.mean_upper() if above else instance.mean_lower()
     else:
         idx = np.flatnonzero(prof.hit & ~prof.contain)
-        if above:
-            g = np.maximum(prof.a_plus[idx] - prof.out_high[idx], 0.0)
-        else:
-            g = np.maximum(prof.out_low[idx] - prof.a_minus[idx], 0.0)
+        g = prof._reentry(above, idx)
         pool = g > 0.0
         idx, g = idx.compress(pool), g.compress(pool)
         base = float(np.dot(instance.weight, _span(instance, prof, "inf")[1 if above else 0]))
@@ -252,17 +255,17 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
 def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas) -> np.ndarray:
     """U (``"sup"``) or L (``"inf"``) at each clipped kappa.
 
-    Inside the slack span (within tolerance) U counts every hit scenario
-    and L only the contained ones.  Beyond it each kappa needs the mean
-    shift |base - kappa| from its regime's fill, so one sort per regime
-    and one ``searchsorted`` serve every kappa.
+    Inside the slack span U counts every hit scenario and L only the
+    contained ones.  Beyond it each kappa needs the mean shift |base -
+    kappa| from its regime's fill, so one sort per regime and one
+    ``searchsorted`` serve every kappa.
     """
     w = instance.weight
     lo, hi = (float(np.dot(w, v)) for v in _span(instance, prof, bound))
     slack = float(w.compress(prof.hit if bound == "sup" else prof.contain).sum())
     floor = 0.0 if bound == "sup" else slack   # L's contained mass always counts
     out = np.full(kappas.shape, slack)
-    for side, at in ((True, kappas > hi + _ATOL), (False, kappas < lo - _ATOL)):
+    for side, at in ((True, kappas > hi), (False, kappas < lo)):
         if at.any():
             fill = _regime_fill(instance, prof, bound, side)
             out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]))[2]
@@ -294,9 +297,9 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float):
     k_lo = float(np.dot(w, lo_vals))
     k_hi = float(np.dot(w, hi_vals))
 
-    if k_lo - _ATOL <= kappa <= k_hi + _ATOL:
+    if k_lo <= kappa <= k_hi:
         span = k_hi - k_lo
-        tau = 0.0 if span <= 0.0 else min(max((kappa - k_lo) / span, 0.0), 1.0)
+        tau = 0.0 if span <= 0.0 else (kappa - k_lo) / span
         return 0.0, (w, [(hi_vals, w * tau)], lo_vals), float(w.compress(prof.hit).sum())
 
     above = kappa > k_hi
@@ -346,15 +349,11 @@ def _pin_at(instance: DiscreteInstance, prof: GapProfile, kappa: float):
 
 def _clip_kappas(instance: DiscreteInstance, kappas) -> np.ndarray:
     """:func:`_clip_kappa` over a sequence; the first kappa outside the
-    mean range raises its error."""
+    mean range beyond its tolerance raises its error."""
     values = np.asarray(kappas, dtype=float)
     box = aumann_interval(instance)
-    if values.size and box.lo <= values.min() and values.max() <= box.hi:
-        return values   # nothing to clip
-    tol = 1e-9 * np.maximum(1.0, np.abs(values))
-    inside = (box.lo - tol <= values) & (values <= box.hi + tol)
-    if not inside.all():
-        _clip_kappa(instance, kappas[int(np.argmin(inside))])
+    for i in np.flatnonzero(~((box.lo <= values) & (values <= box.hi))):
+        _clip_kappa(instance, kappas[i])
     return np.minimum(np.maximum(values, box.lo), box.hi)
 
 
@@ -405,15 +404,15 @@ def _kink_argmin(w, left: float, right: float, gaps) -> float:
     """Least point of a convex piecewise-linear function of lam.
 
     Its slope is ``left`` just below 0 and ``right`` just above, and rises
-    by w * g at lam = -1/g for each g in ``gaps(-1.0)`` and at lam = 1/g
-    for each g in ``gaps(1.0)``: the first kink, counted outward from 0,
+    by w * g at lam = -1/g for each g in ``gaps(False)`` and at lam = 1/g
+    for each g in ``gaps(True)``: the first kink, counted outward from 0,
     where the slope reaches 0 (the last one when rounding keeps it below).
     Only the side the minimum lies on is built.
     """
     if left <= 0.0 <= right:
         return 0.0
     start, side = (-left, -1.0) if left > 0.0 else (right, 1.0)
-    gaps = gaps(side)
+    gaps = gaps(side > 0.0)
     keep = gaps > 0.0
     if not keep.any():
         return 0.0
@@ -445,26 +444,14 @@ def _dual(instance: DiscreteInstance, prof: GapProfile, kappa: float) -> DualEnv
     each side is solved and evaluated before the other's scratch is built.
     """
     kappa = _clip_kappa(instance, kappa)
-    w, lo, hi, hit = instance.weight, instance.lower, instance.upper, prof.hit
+    w, hit = instance.weight, prof.hit
     hit_at = np.flatnonzero(hit)
-    lam_u = _kink_argmin(
-        w[hit_at],
-        float(np.dot(w, np.where(hit, prof.a_minus, lo))) - kappa,
-        float(np.dot(w, np.where(hit, prof.a_plus, hi))) - kappa,
-        lambda side: prof._gap(side > 0.0, hit_at),
-    )
+    low, high = (float(np.dot(w, v)) for v in _span(instance, prof, "sup"))
+    lam_u = _kink_argmin(w[hit_at], low - kappa, high - kappa, lambda up: prof._gap(up, hit_at))
     upper = _psi_mean(instance, prof, lam_u) - lam_u * kappa
-    part_at = np.flatnonzero(part := hit & ~prof.contain)
-    lam_l = _kink_argmin(
-        w[part_at],
-        kappa - float(np.dot(w, np.where(part, prof.out_high, hi))),
-        kappa - float(np.dot(w, np.where(part, prof.out_low, lo))),
-        lambda side: np.maximum(
-            prof.out_low[part_at] - prof.a_minus[part_at] if side > 0.0
-            else prof.a_plus[part_at] - prof.out_high[part_at],
-            0.0,
-        ),
-    )
+    part = np.flatnonzero(hit & ~prof.contain)
+    low, high = (float(np.dot(w, v)) for v in _span(instance, prof, "inf"))
+    lam_l = _kink_argmin(w[part], kappa - high, kappa - low, lambda up: prof._reentry(not up, part))
     return DualEnvelope(upper, _phi_mean(instance, prof, lam_l) - lam_l * kappa, lam_u, lam_l)
 
 

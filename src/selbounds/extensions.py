@@ -124,24 +124,16 @@ def _power_image(instance: DiscreteInstance, r: float):
 
 
 def _scenario_envelope(lower, upper, r: float, lam: float, maximize: bool):
-    """Per-scenario extremum of x + lam * x^r over [lower, upper].
+    """Per-scenario extremum of x + lam * x^r over [lower, upper], r > 0.
 
-    Candidates: both endpoints plus real stationary points of the map,
-    i.e. solutions of 1 + lam*r*x^(r-1) = 0 inside the interval.
+    Candidates: both endpoints plus the stationary points t of
+    :func:`_stationary` and, for odd r, -t; on admissible data (nonnegative
+    unless r is an odd integer) only a finite lam < 0 has them.
     """
     roots = []
-    if lam != 0.0 and r != 1.0:
-        c = -1.0 / (lam * r)
-        if _is_odd_integer(r) and int(r) >= 3:
-            # r-1 even: real roots only when c > 0, symmetric pair
-            if c > 0.0:
-                root = c ** (1.0 / (r - 1.0))
-                roots = [root, -root]
-        elif r == 2.0:
-            roots = [-1.0 / (2.0 * lam)]
-        elif r > 0.0:
-            if c > 0.0:
-                roots = [c ** (1.0 / (r - 1.0))]
+    if lam < 0.0 and r != 1.0:
+        t = _stationary(lam, r)
+        roots = [t, -t] if _is_odd_integer(r) else [t]
     vals = None
     for x in [lower, upper] + [np.minimum(np.maximum(lower, root), upper) for root in roots]:
         v = _power(x, r)

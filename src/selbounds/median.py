@@ -19,7 +19,7 @@ from .errors import InfeasibleMedian, InputError, MOutsideMedianSpan
 from .laws import Law
 from .model import ClosedInterval, DiscreteInstance, _marginal
 from .rearrange import _greedy_fill
-from .benchmarks import Selection
+from .benchmarks import Selection, median_benchmark
 
 _ATOL = 1e-12
 
@@ -210,13 +210,11 @@ def marginal_cost_terms(instance: DiscreteInstance, m: float) -> CostTerms:
     s_upper integrates (1/2 - F_upper) from m to the upper-marginal median.
     Valid when m lies between the two marginal medians.
     """
-    low = _marginal(instance, "lower")
-    high = _marginal(instance, "upper")
-    m_l = low.quantile(0.5)
-    m_u = high.quantile(0.5)
+    span = median_benchmark(instance)
+    m_l, m_u = span.lo, span.hi
     m = _check_span(m, m_l, m_u)
-    s_lower = low.integrate_cdf_offset(m_l, m, 0.5)
-    s_upper = -high.integrate_cdf_offset(m, m_u, 0.5)
+    s_lower = _marginal(instance, "lower").integrate_cdf_offset(m_l, m, 0.5)
+    s_upper = -_marginal(instance, "upper").integrate_cdf_offset(m, m_u, 0.5)
     implied = ClosedInterval(instance.mean_lower() + s_lower, instance.mean_upper() - s_upper)
     return CostTerms(s_lower, s_upper, implied)
 

@@ -168,14 +168,14 @@ def regime_fill_ref(instance, prof, bound, above):
 
 def bound_ref(instance, prof, bound, kappas):
     """``events._bound`` with a boolean slack mask."""
-    from selbounds.events import _ATOL, _engage, _span
+    from selbounds.events import _engage, _span
 
     w = instance.weight
     lo, hi = (float(np.dot(w, v)) for v in _span(instance, prof, bound))
     slack = float(w[prof.hit if bound == "sup" else prof.contain].sum())
     floor = 0.0 if bound == "sup" else slack
     out = np.full(kappas.shape, slack)
-    for side, at in ((True, kappas > hi + _ATOL), (False, kappas < lo - _ATOL)):
+    for side, at in ((True, kappas > hi), (False, kappas < lo)):
         if at.any():
             fill = regime_fill_ref(instance, prof, bound, side)
             out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]))[2]

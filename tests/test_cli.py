@@ -852,6 +852,37 @@ class TestMainExitCodes:
         check = json.loads(capsys.readouterr().out)["oracle_check"]
         assert check["ran"] and check["max_delta"] <= 1e-6
 
+    @pytest.mark.parametrize("kind, limit", [("median", 12), ("mean", 8), ("moment", 6), ("quantile", 12)])
+    def test_verify_oracle_notes(self, tmp_path, capsys, kind, limit):
+        # the oracle runs up to its size limit; past it, and for an infeasible
+        # pin, the report says it did not run
+        def verify(n, feasible):
+            rng = np.random.default_rng(n)
+            lower = rng.uniform(0.0, 2.0, n)
+            upper = lower + rng.uniform(0.2, 1.5, n)
+            p = tmp_path / f"{n}.csv"
+            p.write_text("lower,upper\n" + "".join(f"{a},{b}\n" for a, b in zip(lower, upper)))
+            pos = 0.5 if feasible else 10.0   # inside the admissible range, or far past it
+
+            def blend(f):   # f of the lower endpoints moved pos of the way to f of the upper ones
+                return str(f(lower) + pos * (f(upper) - f(lower)))
+
+            pins = {
+                "median": ["--m", blend(lambda x: np.quantile(x, 0.5, method="inverted_cdf"))],
+                "mean": ["--kappa", blend(np.mean), "--target", "[[1,2]]"],
+                "moment": ["--r", "2", "--mu", blend(lambda x: np.mean(x**2))],
+                "quantile": ["--alpha", "0.3", "--q", blend(lambda x: np.quantile(x, 0.3, method="inverted_cdf"))],
+            }
+            code = main(["verify", "--input", str(p), "--tolerance", "1e-4", *pins[kind]])
+            return code, json.loads(capsys.readouterr().out)["oracle_check"]
+
+        none = "no oracle for this restriction or instance too large"
+        code, check = verify(limit, True)
+        assert (code, check["ran"], check["note"]) == (0, True, None)
+        assert check["max_delta"] <= 1e-4
+        assert verify(limit + 1, True) == (0, {"ran": False, "max_delta": None, "note": none})
+        assert verify(limit, False) == (2, {"ran": False, "max_delta": None, "note": none})
+
     def test_bounds_alpha_and_export_parse_once(self, tmp_path, capsys, monkeypatch):
         import selbounds.cli as cli
 

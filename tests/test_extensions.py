@@ -146,6 +146,15 @@ class TestMomentRestrictedInterval:
             vals = xs + lam * np.sign(xs) * np.abs(xs) ** r
             assert got_max >= vals.max() - 1e-6
             assert got_min <= vals.min() + 1e-6
+        # every order the solver takes, on nonnegative data, and lam = 0
+        for r in (0.5, 1.5, 2.0, 3.0, 4.0, 5.0):
+            for lam in (0.0, *rng.uniform(-4.0, 4.0, 20)):
+                lo = np.array([rng.uniform(0.0, 1.5)])
+                hi = lo + rng.uniform(0.0, 2.0)
+                xs = np.linspace(lo[0], hi[0], 20001)
+                vals = xs + lam * xs**r
+                assert _scenario_envelope(lo, hi, r, lam, True)[0] >= vals.max() - 1e-6, (r, lam)
+                assert _scenario_envelope(lo, hi, r, lam, False)[0] <= vals.min() + 1e-6, (r, lam)
 
 
 class TestMomentSolver:

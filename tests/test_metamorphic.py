@@ -142,6 +142,27 @@ def test_moment_scaling_reflection_reordering(n):
         _assert_at(got, ref.lo, ref.hi, ref.width)
 
 
+@pytest.mark.parametrize("n", SIZES[:3])
+def test_prob_bounds_are_unit_free(n):
+    # event probabilities do not move with y -> s (y + t): an absolute
+    # tolerance of 1e-12 on means moved L and U by 0.136 at s = 1e-12
+    inst = _instance(n)
+    target = random_target(np.random.default_rng(n + 3))
+    kappas = _pivots(aumann_interval(inst), (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
+    ref_lo, ref_hi = _prob_bounds(inst, gap_profile(inst, target), kappas)
+    ref_p = [calibrate_mean(inst, target, kappa).probability for kappa in kappas]
+    for s in SCALES + [1e-9, 1e-12]:
+        for t in SHIFTS:
+            moved = _moved(inst, s, t)
+            moved_target = TargetSet.from_pairs([(s * (a + t), s * (b + t)) for a, b in target.pieces])
+            for i, kappa in enumerate(kappas):
+                got = mean_restricted_prob_bounds(moved, moved_target, s * (kappa + t))
+                p = calibrate_mean(moved, moved_target, s * (kappa + t)).probability
+                assert abs(got.lo - ref_lo[i]) <= 1e-12, (s, t, kappa)
+                assert abs(got.hi - ref_hi[i]) <= 1e-12, (s, t, kappa)
+                assert abs(p - ref_p[i]) <= 1e-12, (s, t, kappa)
+
+
 # ---------------------------------------------------------------------------
 # batch = point for the mean-pinned probability bounds
 
