@@ -123,9 +123,12 @@ def aumann_interval(instance: DiscreteInstance) -> ClosedInterval:
 
 
 def _clip_kappa(instance: DiscreteInstance, kappa: float) -> float:
-    """kappa clipped into the mean range; KappaInfeasible beyond tolerance."""
+    """kappa clipped into the mean range; KappaInfeasible when it lies
+    outside by more than 1e-9 of the data's scale or of |kappa|."""
     box = aumann_interval(instance)
-    if not box.contains(kappa, tol=1e-9 * max(1.0, abs(kappa))):
+    if not box.contains(kappa) and not box.contains(
+        kappa, tol=1e-9 * max(abs(kappa), instance.magnitude())
+    ):
         raise KappaInfeasible(
             f"kappa={kappa} outside the mean range [{box.lo}, {box.hi}] "
             f"by {max(box.lo - kappa, kappa - box.hi):.3g}"

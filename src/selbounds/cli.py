@@ -56,6 +56,7 @@ from .model import (
 from .benchmarks import aumann_interval, median_benchmark, quantile_attainability_range
 from .median import (
     CostTerms,
+    _median_curve,
     _median_interval,
     extremal_selection,
     marginal_cost_terms,
@@ -747,24 +748,21 @@ def export_curves(
     kind = request.restriction[0] if request.restriction else None
     if kind == "median":
         m = request.restriction[1]
-        sel_hi = extremal_selection(instance, m, "max").law()
-        sel_lo = extremal_selection(instance, m, "min").law()
+        # one selection alive at a time: each holds about 22 B a scenario
+        hi = extremal_selection(instance, m, "max").law().cdf(ts)
+        lo = extremal_selection(instance, m, "min").law().cdf(ts)
         emit(
             "selection_cdf",
             ["t", "F_min_selection", "F_max_selection"],
-            np.column_stack([ts, sel_lo.cdf(ts), sel_hi.cdf(ts)]),
+            np.column_stack([ts, lo, hi]),
             "CDFs of the extremal median-restricted selections",
         )
         medians = median_benchmark(instance)
         ms = np.linspace(medians.lo, medians.hi, BOUND_GRID)
-        rows = []
-        for mm in ms:
-            iv = median_restricted_mean_interval(instance, float(mm))
-            rows.append((mm, iv.lo, iv.hi))
         emit(
             "bounds",
             ["m", "E_min", "E_max"],
-            rows,
+            [(mm, iv.lo, iv.hi) for mm, iv in zip(ms, _median_curve(instance, ms))],
             "restricted mean interval endpoints over the pivot grid",
         )
     elif kind == "mean" and request.target is not None:

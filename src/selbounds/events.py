@@ -183,15 +183,18 @@ class _MeanFill(NamedTuple):
     base: float             # the mean the shift starts from
 
 
-def _engage(fill: _MeanFill, need: np.ndarray):
+def _engage(fill: _MeanFill, need: np.ndarray, instance: DiscreteInstance):
     """The fill at each mean shift of ``need``: (k, share, probability).
 
     The first k scenarios of the order engage whole and scenario k engages
     the fraction ``share`` of its weight that makes the shift exact; the
     probability is the engaged weight.  A zero shift engages only the free
-    scenarios, and only then is ``share`` 0.
+    scenarios, and only then is ``share`` 0.  A shift beyond the reach by
+    more than 1e-9 of it or of the instance's scale is infeasible.
     """
-    if need.max() > fill.reach + max(1e-9, 1e-9 * fill.reach):
+    top = float(need.max())
+    # the scale is read only for a shift past the reach
+    if top > fill.reach and top > fill.reach + 1e-9 * max(fill.reach, instance.magnitude()):
         raise KappaInfeasible("mean target outside the reachable range")
     mass = np.minimum(need, min(fill.reach, fill.cap))
     if fill.cost.size == 0:
@@ -268,7 +271,8 @@ def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas) -> 
     for side, at in ((True, kappas > hi), (False, kappas < lo)):
         if at.any():
             fill = _regime_fill(instance, prof, bound, side)
-            out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]))[2]
+            out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]), instance)[2]
+            del fill   # freed before the other side's fill is built
     return out
 
 
@@ -304,7 +308,7 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float):
 
     above = kappa > k_hi
     fill = _regime_fill(instance, prof, "sup", above)
-    (k,), (share,), (prob,) = _engage(fill, np.abs(fill.base - np.array([kappa])))
+    (k,), (share,), (prob,) = _engage(fill, np.abs(fill.base - np.array([kappa])), instance)
     engaged = np.zeros(instance.n)
     engaged[fill.index[:k]] = fill.weight[:k]
     lam = math.inf   # nothing moves: selections are endpoints

@@ -92,11 +92,17 @@ def _power(x: np.ndarray, r: float) -> np.ndarray:
 
 
 def _check_power_validity(instance: DiscreteInstance, r: float) -> None:
-    if r > 0.0 and (_is_odd_integer(r) or float(instance.lower.min()) >= -_ATOL):
+    if r > 0.0 and (_is_odd_integer(r) or _nonnegative(instance)):
         return
     raise InvalidPower(
         f"power r={r} needs a positive exponent, odd integer unless the instance is nonnegative"
     )
+
+
+def _nonnegative(instance: DiscreteInstance) -> bool:
+    """Every lower end is at least 0, up to 1e-12 of the data's scale."""
+    lowest = float(instance.lower.min())
+    return lowest >= 0.0 or lowest >= -_ATOL * instance.magnitude()
 
 
 def power_image_interval(instance: DiscreteInstance, r: float) -> ClosedInterval:
@@ -393,7 +399,7 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction, se
         x = lower if mu == image.lo else upper
         sides = [(float(np.dot(w, x)),) * 2 + (x, 1.0, x)] * 2
     else:
-        s = max(float(upper.max()), -float(lower.min()))   # max |endpoint|: lower <= upper
+        s = instance.magnitude()
         lo, hi, mu = low / s, high / s, mu / s**r   # clamped as the image's endpoints
         del low, high
         b = _breakpoints(w, lo, hi, r)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InfeasibleMedian, InputError, MOutsideMedianSpan
 from .laws import Law
 from .model import ClosedInterval, DiscreteInstance, _marginal
-from .rearrange import _greedy_fill
+from .rearrange import _fill_value, _greedy_fill, _tie_runs
 from .benchmarks import Selection, median_benchmark
 
 _ATOL = 1e-12
@@ -66,7 +66,8 @@ def partition(instance: DiscreteInstance, m: float) -> MedianPartition:
     )
 
 
-def _require_feasible(part: MedianPartition) -> None:
+def _require_feasible(part: MedianPartition) -> MedianPartition:
+    """``part``, if its pivot can be a median; else InfeasibleMedian."""
     if not part.feasible:
         side = "p_minus" if part.p_minus > 0.5 + _ATOL else "p_plus"
         val = part.p_minus if side == "p_minus" else part.p_plus
@@ -74,6 +75,7 @@ def _require_feasible(part: MedianPartition) -> None:
             f"median m={part.m} infeasible: {side}={val:.12g} exceeds 1/2 "
             f"by {val - 0.5:.3g}",
         )
+    return part
 
 
 def _pivot_fill(instance: DiscreteInstance, part: MedianPartition, need: float, side: str, base: float):
@@ -85,8 +87,9 @@ def _pivot_fill(instance: DiscreteInstance, part: MedianPartition, need: float, 
     at or above it lacks after p_plus, above ``base`` = E lower.  Returns
     the endpoint, its slope between scenario endpoints (the filled mass)
     and the fill (order, k, frac on the contact set; None when empty),
-    which only the selections scatter (:func:`_pivot_mass`; a 201-point
-    median curve export at 50k took 0.55 s of CPU when all did, 0.46 now).
+    which only the selections scatter (:func:`_pivot_mass`).  Each call
+    sorts its contact gaps; a curve of many pivots fills from one presort
+    instead (:func:`_pivot_curve`).
     """
     ci = part.contact
     mass = min(max(need - (part.p_minus if side == "max" else part.p_plus), 0.0), part.p0)
@@ -115,6 +118,66 @@ def _pivot_interval(instance: DiscreteInstance, part: MedianPartition, below: fl
     return ClosedInterval(e_lo, e_hi)
 
 
+def _pivot_curve(instance: DiscreteInstance, parts, below_need: float, above_need: float):
+    """:func:`_pivot_interval` at many pivots, bit for bit, from one presort
+    per side: the intervals, in the order of ``parts``.
+
+    ``parts`` yields the partitions at the pivots and is read once; only
+    their pivots and masses are kept, not their contact sets.  Each side
+    is then filled at every pivot from one stable sort of the scenarios
+    (:func:`_presorted_fills`), and only one side's sort is alive at a
+    time.  A presort costs more than one point query saves (a batch of
+    one took 55 ms of CPU at 200k scenarios, a point query 4.4 ms), so the
+    point functions keep their contact sorts.
+    """
+    masses = [(part.m, part.p_minus, part.p_plus, part.p0) for part in parts]
+    e_hi = _presorted_fills(instance, masses, below_need, "max")
+    e_lo = _presorted_fills(instance, masses, above_need, "min")
+    return [ClosedInterval(lo, hi) for lo, hi in zip(e_lo, e_hi)]
+
+
+def _presorted_fills(instance: DiscreteInstance, masses, need: float, side: str):
+    """E_max (side="max") or E_min at every pivot of ``masses``, rows of
+    (pivot, p_minus, p_plus, p0), as :func:`_pivot_fill` gives it, from
+    one stable sort of the scenarios.
+
+    The sort key is ``upper`` ascending for the max side and ``lower``
+    descending for the min side, signed so that both ascend; with the
+    other endpoint along, a pivot's contact set is a suffix of the order
+    (one ``searchsorted``) filtered by the other endpoint, and its gaps
+    come out ascending.  Runs of equal gaps, from equal keys or from
+    distinct keys whose gaps round alike, get their ties put back in
+    scenario order (:func:`_tie_runs`), as the point fill orders them.
+    """
+    sign, ends, others = (1.0, instance.upper, instance.lower) if side == "max" else (
+        -1.0, instance.lower, instance.upper)
+    keys = sign * ends
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    others = sign * others[order]
+    weights = instance.weight[order]
+    base = instance.mean_upper() if side == "max" else instance.mean_lower()
+    out = []
+    for q, p_minus, p_plus, p0 in masses:
+        mass = min(max(need - (p_minus if side == "max" else p_plus), 0.0), p0)
+        cost = 0.0
+        if mass > 0.0:
+            sq = sign * q
+            tail = slice(int(np.searchsorted(keys, sq)), None)
+            at = np.flatnonzero(others[tail] <= sq)
+            gaps = keys[tail][at]
+            gaps -= sq   # upper - q, or -lower + q = q - lower to the bit
+            w = weights[tail][at]
+            ties = _tie_runs(gaps, lambda pos: order[tail][at[pos]], instance.n)
+            if ties is not None:
+                pos, key = ties
+                gaps[pos] = sign * ends[key] - sq   # -0.0 and 0.0 tie but differ in bits
+                w[pos] = instance.weight[key]
+            cost = _fill_value(gaps, w, mass)[2]
+        out.append(base - cost if side == "max" else base + cost)
+    return out
+
+
 def pivot_mean_interval(
     instance: DiscreteInstance, pivot: float, below_need: float, above_need: float
 ) -> ClosedInterval:
@@ -141,8 +204,14 @@ def median_restricted_mean_interval(instance: DiscreteInstance, m: float) -> Clo
 
 def _median_interval(instance: DiscreteInstance, part: MedianPartition) -> ClosedInterval:
     """:func:`median_restricted_mean_interval` on a built partition."""
-    _require_feasible(part)
-    return _pivot_interval(instance, part, 0.5, 0.5)
+    return _pivot_interval(instance, _require_feasible(part), 0.5, 0.5)
+
+
+def _median_curve(instance: DiscreteInstance, pivots) -> list[ClosedInterval]:
+    """:func:`median_restricted_mean_interval` at every pivot, bit for bit:
+    the first infeasible pivot raises its error."""
+    parts = (_require_feasible(partition(instance, float(m))) for m in pivots)
+    return _pivot_curve(instance, parts, 0.5, 0.5)
 
 
 def extremal_selection(instance: DiscreteInstance, m: float, side: str) -> Selection:

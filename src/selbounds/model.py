@@ -151,6 +151,11 @@ class DiscreteInstance:
     def mean_upper(self) -> float:
         return float(np.dot(self.weight, self.upper))
 
+    def magnitude(self) -> float:
+        """The largest |endpoint|, the data's scale: tolerances on values in
+        the data's units are relative to it."""
+        return max(float(self.upper.max()), -float(self.lower.min()))   # lower <= upper
+
     def reordered(self, perm) -> "DiscreteInstance":
         perm = np.asarray(perm, dtype=int)
         return DiscreteInstance(self.lower[perm], self.upper[perm], self.weight[perm])

@@ -14,10 +14,13 @@ greedy fill kernel does this, in two steps: :func:`_sort_fill` sorts once
 its ties put back in position order) and :func:`_fill_at` fills at any
 number of masses, so the mean-pinned probability bounds of
 :mod:`selbounds.events` answer a whole curve of mean pins from one sort
-per regime.  Every pivot-restricted mean bound and its attaining selection
-reach the kernel through one call site, the pivot fill in
-:mod:`selbounds.median`; :func:`sorted_partial_sum` (the fill's value) and
-:func:`least_x_set` (also the chosen subset) are thin public wrappers.
+per regime.  The pivot-restricted mean bounds of :mod:`selbounds.median`
+reach the kernel at two call sites: a point query sorts its contact gaps
+(:func:`_greedy_fill`), and a curve of pivots takes its gaps in order from
+one presort per side, puts ties back with :func:`_tie_runs` and shares the
+fill's value (:func:`_fill_value`).  :func:`sorted_partial_sum` (the
+fill's value) and :func:`least_x_set` (also the chosen subset) are thin
+public wrappers.
 Quantile-step integration (:func:`conditional_quantile_integral`) is
 implemented independently of that kernel and must agree with it to machine
 precision.
@@ -86,30 +89,46 @@ def _fill_order(values):
     The order is the permutation ``np.lexsort((np.arange(n), values))``
     gives.  A pool of at most ``_STABLE_MAX`` values takes one stable sort.
     A larger one takes one quicksort, and only positions inside runs of
-    equal sorted values are sorted again, by (run, position) keys, so a
-    pool without ties never pays for a stable sort and a pool of many zero
-    gaps pays only for its ties.  ``values`` holds no NaN.
+    equal sorted values are sorted again (:func:`_tie_runs`), so a pool
+    without ties never pays for a stable sort and a pool of many zero gaps
+    pays only for its ties.  ``values`` holds no NaN.
     """
     if values.size <= _STABLE_MAX:
         order = np.argsort(values, kind="stable")
         return order, values[order]
     order = np.argsort(values)
     v = values[order]
-    same = v[1:] == v[:-1]
-    if np.count_nonzero(same):
-        n = v.size
-        tied = np.zeros(n + 1, dtype=bool)   # tied[i]: v[i] equals v[i - 1]
-        tied[1:n] = same
-        at = (tied[:n] | tied[1:]).nonzero()[0]
-        run = np.where(tied[at], 0, n)       # n where a run starts
-        np.add.accumulate(run, out=run)      # each position's run, times n
-        key = order[at]
-        key += run
-        key.sort()
-        key -= run
+    ties = _tie_runs(v, order.__getitem__, v.size)
+    if ties is not None:
+        at, key = ties
         order[at] = key
         v[at] = values[key]   # -0.0 and 0.0 tie but differ in bits
     return order, v
+
+
+def _tie_runs(v, key_of, bound):
+    """The positions inside runs of equal values of the ascending ``v``, and
+    their keys ``key_of(positions)`` (integers in [0, bound)), put in
+    ascending order within each run by one integer sort of (run, key);
+    None without ties.
+
+    Writing the keys back at those positions gives the order ties by key,
+    and the values must be read again there, since -0.0 and 0.0 tie.
+    """
+    same = v[1:] == v[:-1]
+    if not np.count_nonzero(same):
+        return None
+    n = v.size
+    tied = np.zeros(n + 1, dtype=bool)   # tied[i]: v[i] equals v[i - 1]
+    tied[1:n] = same
+    at = (tied[:n] | tied[1:]).nonzero()[0]
+    run = np.where(tied[at], 0, bound)   # bound where a run starts
+    np.add.accumulate(run, out=run)      # each position's run, times bound
+    key = key_of(at)
+    key += run
+    key.sort()
+    key -= run
+    return at, key
 
 
 def _sort_fill(values, weights):
@@ -144,12 +163,19 @@ def _greedy_fill(values, weights, mass: float):
     if mass < -_ATOL or mass > total + max(_ATOL, 1e-9 * total):
         raise MassOutOfRange(f"mass {mass} outside [0, {total}]")
     mass = min(max(mass, 0.0), total)
-    order, v, w, cum = _sort_fill(values, weights)
+    order, v = _fill_order(values)
     if mass == 0.0:
         return order, 0, 0.0, 0.0
-    k, frac = _fill_at(cum, mass)
+    return (order, *_fill_value(v, weights[order], mass))
+
+
+def _fill_value(v, w, mass: float):
+    """The fill at ``mass`` in (0, sum(w)] of values ``v`` with weights
+    ``w``, both already in fill order: ``(k, frac, value)`` as
+    :func:`_greedy_fill` returns them."""
+    k, frac = _fill_at(np.cumsum(w), mass)
     k, frac = int(k), float(frac)
-    return order, k, frac, float(np.dot(v[:k], w[:k])) + float(v[k]) * frac
+    return k, frac, float(np.dot(v[:k], w[:k])) + float(v[k]) * frac
 
 
 def sorted_partial_sum(values, weights, mass: float) -> float:

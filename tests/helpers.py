@@ -178,7 +178,7 @@ def bound_ref(instance, prof, bound, kappas):
     for side, at in ((True, kappas > hi), (False, kappas < lo)):
         if at.any():
             fill = regime_fill_ref(instance, prof, bound, side)
-            out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]))[2]
+            out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]), instance)[2]
     return out
 
 

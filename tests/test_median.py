@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbounds import (
     ComonotoneSpec,
@@ -21,6 +23,7 @@ from selbounds import (
     mixed_selection,
     parse_law,
     partition,
+    pivot_mean_interval,
     quantile_attainability_range,
     quantile_restricted_mean_interval,
     oracle,
@@ -29,7 +32,14 @@ from selbounds import (
 import selbounds.median as median
 from selbounds.rearrange import ConditionalLaw
 
-from helpers import constant_instance, law_median_holds, random_instance, two_state_instance
+from helpers import (
+    constant_instance,
+    law_median_holds,
+    parity_instance,
+    parity_pivots,
+    random_instance,
+    two_state_instance,
+)
 
 
 class TestPartition:
@@ -233,6 +243,83 @@ class TestOnePartitionOneFill:
             parts.clear()
             query()
             assert (len(parts), len(laws)) == (1, 0)
+
+
+def _outcome(answer):
+    """The endpoints of every interval of ``answer()`` as ``float.hex``, or
+    the type and message of the error it raises."""
+    try:
+        return [v.hex() for iv in answer() for v in iv.as_tuple()]
+    except Exception as exc:  # compared with the other form's error
+        return type(exc), str(exc)
+
+
+class TestPivotCurve:
+    """The presorted batch answers every pivot as the point functions do,
+    to the bit, and a median curve raises the first infeasible pivot's
+    error."""
+
+    ALPHA = 0.3
+
+    @staticmethod
+    def median_pair(inst, pivots):
+        batch = _outcome(lambda: median._median_curve(inst, pivots))
+        point = _outcome(lambda: [median_restricted_mean_interval(inst, float(m)) for m in pivots])
+        return batch, point
+
+    @classmethod
+    def quantile_pair(cls, inst, pivots):
+        below, above = 1.0 - cls.ALPHA, cls.ALPHA
+        parts = (partition(inst, float(q)) for q in pivots)
+        batch = _outcome(lambda: median._pivot_curve(inst, parts, below, above))
+        point = _outcome(lambda: [pivot_mean_interval(inst, float(q), below, above) for q in pivots])
+        return batch, point
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_batch_equals_point(self, seed):
+        # continuous and 0.25-grid data with zero-width scenarios and -0.0
+        # endpoints; pivots on endpoints (both zeros among them), on the
+        # median band's grid and outside it
+        rng = np.random.default_rng(seed)
+        inst = parity_instance(rng)
+        band = median_benchmark(inst)
+        grid = np.linspace(band.lo, band.hi, 7)
+        drawn = parity_pivots(rng, inst, 6)
+        inside = [*grid, *(q for q in drawn if band.lo <= q <= band.hi)]
+        batch, point = self.median_pair(inst, inside)
+        assert batch == point
+        batch, point = self.median_pair(inst, rng.permutation([*grid, *drawn]))
+        assert batch == point
+        batch, point = self.quantile_pair(inst, [*grid, *drawn])
+        assert batch == point and isinstance(batch, list)
+
+    def test_empty_contact_set(self):
+        # both outer masses exactly 1/2: the curve reads the mean box there
+        inst = DiscreteInstance.from_rows([(-2.0, -1.0, 0.5), (1.0, 2.0, 0.5)])
+        pivots = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        batch, point = self.median_pair(inst, pivots)
+        assert batch == point
+        assert batch[4:6] == [v.hex() for v in aumann_interval(inst).as_tuple()]
+        batch, point = self.quantile_pair(inst, pivots)
+        assert batch == point
+
+    def test_distinct_uppers_rounding_to_one_gap(self):
+        # at pivot -1e16 every gap upper - m rounds to 1e16, so the presort
+        # by upper must give way to scenario order among equal gaps
+        uppers = [0.9, 0.5, 0.7, 0.6, 0.8, 0.55]
+        weights = [0.3, 0.1, 0.25, 0.05, 0.2, 0.1]
+        inst = DiscreteInstance.from_rows([(-2e16, u, w) for u, w in zip(uppers, weights)])
+        batch, point = self.median_pair(inst, [-1e16, -1.5e16, 0.0])
+        assert batch == point and isinstance(batch, list)
+        batch, point = self.quantile_pair(inst, [-1e16])
+        assert batch == point
+
+    def test_first_infeasible_pivot_raises(self):
+        inst = DiscreteInstance.from_rows([(-2.0, -1.0, 0.7), (1.0, 2.0, 0.3)])
+        batch, point = self.median_pair(inst, [-1.5, 0.0, 3.0])
+        assert batch == point
+        assert batch[0] is InfeasibleMedian and "m=0.0 " in batch[1]
 
 
 class TestNoShrinkExample:

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from selbounds import (
     DiscreteInstance,
+    InvalidPower,
+    KappaInfeasible,
     MomentRestriction,
     QuantileRestriction,
     TargetSet,
@@ -151,6 +153,10 @@ def test_prob_bounds_are_unit_free(n):
     kappas = _pivots(aumann_interval(inst), (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
     ref_lo, ref_hi = _prob_bounds(inst, gap_profile(inst, target), kappas)
     ref_p = [calibrate_mean(inst, target, kappa).probability for kappa in kappas]
+    # and kappas 100 box widths outside the box are infeasible at every scale:
+    # an absolute floor of 1e-9 clipped them to the box at s = 1e-12
+    box = aumann_interval(inst)
+    outside = [box.lo - 100.0 * box.width, box.hi + 100.0 * box.width]
     for s in SCALES + [1e-9, 1e-12]:
         for t in SHIFTS:
             moved = _moved(inst, s, t)
@@ -161,6 +167,25 @@ def test_prob_bounds_are_unit_free(n):
                 assert abs(got.lo - ref_lo[i]) <= 1e-12, (s, t, kappa)
                 assert abs(got.hi - ref_hi[i]) <= 1e-12, (s, t, kappa)
                 assert abs(p - ref_p[i]) <= 1e-12, (s, t, kappa)
+            for kappa in outside:
+                for query in (mean_restricted_prob_bounds, calibrate_mean):
+                    with pytest.raises(KappaInfeasible):
+                        query(moved, moved_target, s * (kappa + t))
+
+
+def test_power_validity_is_unit_free():
+    # r = 2 needs nonnegative data: a lower end of -1/3 of the data's scale
+    # is invalid and one of -1e-15 of it is rounding, at every scale; an
+    # absolute floor of 1e-12 accepted the first at s = 1e-12 and refused
+    # the second at s = 1e6
+    for s in SCALES + [1e-9, 1e-12]:
+        negative = DiscreteInstance([-0.5 * s, 0.2 * s], [1.0 * s, 1.5 * s], [0.5, 0.5])
+        with pytest.raises(InvalidPower):
+            power_image_interval(negative, 2.0)
+        with pytest.raises(InvalidPower):
+            moment_restricted_mean_interval(negative, MomentRestriction(2.0, 0.5 * s**2))
+        noisy = DiscreteInstance([-1e-15 * s, 0.2 * s], [1.0 * s, 1.5 * s], [0.5, 0.5])
+        assert power_image_interval(noisy, 2.0).lo == pytest.approx(0.5 * (0.2 * s) ** 2, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
