@@ -60,9 +60,15 @@ class Selection:
         values ``rest`` on whatever weight the other cells leave.  Rows of
         zero weight are dropped.
         """
-        scenario = np.empty((len(cells) + 1, weight.size), dtype=int)
-        scenario[:] = np.arange(weight.size)
-        return cls(scenario.ravel(), *_cell_rows(weight, cells, rest))
+        return cls._from_rows(weight.size, *_cell_rows(weight, cells, rest))
+
+    @classmethod
+    def _from_rows(cls, n: int, value, subweight) -> "Selection":
+        """Selection from the raveled rows of :func:`_rest_row`, each row
+        aligned with the n scenarios."""
+        scenario = np.empty((value.size // max(n, 1), n), dtype=int)
+        scenario[:] = np.arange(n)
+        return cls(scenario.ravel(), value, subweight)
 
     def mean(self) -> float:
         return float(np.dot(self.value, self.subweight))
@@ -99,18 +105,36 @@ def _cell_rows(weight, cells, rest):
     is dropped these are the selection's own arrays."""
     values = np.empty((len(cells) + 1, weight.size))
     subweights = np.empty_like(values)
-    subweights[-1] = weight
     for row, (v, sw) in enumerate(cells):
         values[row], subweights[row] = v, sw
-        subweights[-1] -= sw
     values[-1] = rest
+    return _rest_row(weight, values, subweights)
+
+
+def _rest_row(weight, values, subweights):
+    """The (k+1) x n value and subweight blocks of a selection's cells,
+    raveled, once the last subweight row holds the weight that the other
+    rows leave.  Callers that can write the cells' rows in place fill
+    the blocks themselves and pass them here."""
+    left, cells = subweights[-1], len(subweights) - 1
+    if cells:
+        np.subtract(weight, subweights[0], out=left)
+    else:
+        left[:] = weight
+    for row in range(1, cells):
+        left -= subweights[row]
     return values.ravel(), subweights.ravel()
 
 
 def _cells_mean(weight, cells, rest) -> float:
     """``Selection.from_cells(weight, cells, rest).mean()``, bit for bit,
     without building the selection's scenario column."""
-    value, subweight = _cell_rows(weight, cells, rest)
+    return _rows_mean(*_cell_rows(weight, cells, rest))
+
+
+def _rows_mean(value, subweight) -> float:
+    """The mean of the selection :meth:`Selection._from_rows` would build
+    from these rows, read from its kept rows as ``mean`` reads them."""
     keep = _kept_rows(subweight)
     if keep is not None:
         value, subweight = value.compress(keep), subweight.compress(keep)

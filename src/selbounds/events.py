@@ -13,8 +13,9 @@ threshold is the greedy fill of :mod:`selbounds.rearrange` over mean
 costs.  The gap order does not depend on kappa, only the mass to fill
 does, so each regime is sorted once and one ``searchsorted`` answers a
 whole batch of kappas (:func:`_prob_bounds`).  Each such selection is two
-scenario-aligned cells, the switched mass at its in-target point and the
-rest at the endpoint, built by :meth:`Selection.from_cells`.
+scenario-aligned rows, the switched mass at its in-target point and the
+rest at the endpoint, written in place into the blocks that
+:meth:`Selection.from_cells` lays out.
 
 The same values admit a dual description as envelopes over a scalar
 multiplier.  Each envelope is piecewise linear in the multiplier, so
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InputError, KappaInfeasible
 from .model import ClosedInterval, DiscreteInstance
-from .benchmarks import Selection, _cells_mean, _clip_kappa, aumann_interval
+from .benchmarks import Selection, _clip_kappa, _rest_row, _rows_mean, aumann_interval
 from .rearrange import _fill_at, _fill_order, _sort_fill
 
 
@@ -212,16 +213,21 @@ def _engage(fill: _MeanFill, need: np.ndarray, instance: DiscreteInstance):
     return k, share, prob
 
 
-def _span(instance: DiscreteInstance, prof: GapProfile, bound: str):
+def _span(instance: DiscreteInstance, prof: GapProfile, bound: str, out=None):
     """Values of the two selections whose means bound the slack span of U
     (``"sup"``: hit scenarios at a_minus and a_plus) or of L (``"inf"``:
     partial scenarios at out_low and out_high); the rest sit at their
-    endpoints."""
+    endpoints.  With ``out``, written into its two rows and returned."""
     if bound == "sup":
         on, low, high = prof.hit, prof.a_minus, prof.a_plus
     else:
         on, low, high = prof.hit & ~prof.contain, prof.out_low, prof.out_high
-    return np.where(on, low, instance.lower), np.where(on, high, instance.upper)
+    if out is None:
+        return np.where(on, low, instance.lower), np.where(on, high, instance.upper)
+    for row, values, ends in zip(out, (low, high), (instance.lower, instance.upper)):
+        np.copyto(row, ends)
+        np.copyto(row, values, where=on)
+    return out
 
 
 def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above: bool):
@@ -234,25 +240,34 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
     and lets partial scenarios re-enter through the largest gaps first:
     a_plus - out_high above, out_low - a_minus below.  The infimum may be
     unattained (complement extremes are closure points); its value is exact.
+    The gaps, the sorted keys and the pool's costs are freed before the
+    weights and indices are put in fill order: the peak is about 64 B per
+    pool scenario, for 40 kept.
     """
     if bound == "sup":
         idx = np.flatnonzero(prof.hit)
         g = prof._gap(above, idx)
         base = instance.mean_upper() if above else instance.mean_lower()
     else:
+        # the span's two rows are freed before the pool's arrays are built
+        base = float(np.dot(instance.weight, _span(instance, prof, "inf")[1 if above else 0]))
         idx = np.flatnonzero(prof.hit & ~prof.contain)
         g = prof._reentry(above, idx)
         pool = g > 0.0
         idx, g = idx.compress(pool), g.compress(pool)
-        base = float(np.dot(instance.weight, _span(instance, prof, "inf")[1 if above else 0]))
+        del pool
     w = instance.weight[idx]
     cost = g * w
-    order, _, sorted_cost, cum_cost = _sort_fill(-g if bound == "inf" else g, cost)
+    reach, cap, free = float(np.dot(g, w)), float(cost.sum()), int(np.count_nonzero(g == 0.0))
+    if bound == "inf":
+        np.negative(g, out=g)   # L engages the largest gaps first
+    order, keys, sorted_cost, cum_cost = _sort_fill(g, cost)
+    del g, keys, cost
     weight = w[order]
-    return _MeanFill(
-        idx[order], weight, sorted_cost, cum_cost, np.cumsum(weight), float(np.dot(g, w)),
-        float(cost.sum()), int(np.count_nonzero(g == 0.0)), base,
-    )
+    del w
+    index = idx[order]
+    del idx, order
+    return _MeanFill(index, weight, sorted_cost, cum_cost, np.cumsum(weight), reach, cap, free, base)
 
 
 def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas) -> np.ndarray:
@@ -287,29 +302,40 @@ def calibrate_mean(instance: DiscreteInstance, target: TargetSet, kappa: float) 
     the mean extremes, where nothing moves and selections are endpoints.
     """
     prof = gap_profile(instance, target)
-    lam, cells, prob = _calibrate(instance, prof, _clip_kappa(instance, kappa))
-    return Calibration(lam, Selection.from_cells(*cells), prob)
+    lam, rows, prob = _calibrate(instance, prof, _clip_kappa(instance, kappa))
+    return Calibration(lam, Selection._from_rows(instance.n, *rows), prob)
 
 
 def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float):
     """:func:`calibrate_mean` on a built profile and a clipped kappa, from
     the fill that gives U, so its probability is U(kappa) exactly.  Returns
-    lambda_star, the selection's arguments to :meth:`Selection.from_cells`
-    and the probability."""
+    lambda_star, the selection's value and subweight rows as
+    :meth:`Selection.from_cells` lays them out for one cell (the cell's
+    row first, then the rest's) and the probability.
+
+    The rows are written straight into the two (2, n) blocks: the slack
+    branch's span values are the value block, and a regime's blocks are
+    built once its fill is freed."""
     w = instance.weight
-    lo_vals, hi_vals = _span(instance, prof, "sup")
-    k_lo = float(np.dot(w, lo_vals))
-    k_hi = float(np.dot(w, hi_vals))
+    values = np.empty((2, instance.n))
+    # the span's low selection is the rest's row, its high one the cell's
+    low, high = _span(instance, prof, "sup", out=values[::-1])
+    k_lo, k_hi = float(np.dot(w, low)), float(np.dot(w, high))
 
     if k_lo <= kappa <= k_hi:
         span = k_hi - k_lo
         tau = 0.0 if span <= 0.0 else (kappa - k_lo) / span
-        return 0.0, (w, [(hi_vals, w * tau)], lo_vals), float(w.compress(prof.hit).sum())
+        prob = float(w.compress(prof.hit).sum())   # before the subweights: compress holds 16 B a row
+        subweights = np.empty_like(values)
+        np.multiply(w, tau, out=subweights[0])
+        return 0.0, _rest_row(w, values, subweights), prob
 
+    del values, low, high
     above = kappa > k_hi
     fill = _regime_fill(instance, prof, "sup", above)
     (k,), (share,), (prob,) = _engage(fill, np.abs(fill.base - np.array([kappa])), instance)
-    engaged = np.zeros(instance.n)
+    subweights = np.zeros((2, instance.n))
+    engaged = subweights[0]
     engaged[fill.index[:k]] = fill.weight[:k]
     lam = math.inf   # nothing moves: selections are endpoints
     if share > 0.0:
@@ -317,9 +343,10 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float):
         engaged[edge] = fill.weight[k] * share
         gap = float(prof._gap(above, edge))
         lam = math.inf if gap == 0.0 else 1.0 / gap
-    if above:
-        return lam, (w, [(prof.a_plus, engaged)], instance.upper), float(prob)
-    return -lam, (w, [(prof.a_minus, engaged)], instance.lower), float(prob)
+    del fill, engaged
+    values = np.empty_like(subweights)
+    values[0], values[1] = (prof.a_plus, instance.upper) if above else (prof.a_minus, instance.lower)
+    return (lam if above else -lam), _rest_row(w, values, subweights), float(prob)
 
 
 def mean_restricted_prob_bounds(
@@ -344,11 +371,15 @@ def _pin_at(instance: DiscreteInstance, prof: GapProfile, kappa: float):
     """[L(kappa), U(kappa)], and lambda_star and the selection mean of the
     calibration attaining U: U is the calibration's probability, from the
     fill :func:`_prob_bounds` would sort for it, and the mean is read
-    without building the selection's scenario column."""
+    from the calibration's two rows without building the selection's
+    scenario column.  L's scratch is freed before those rows are built,
+    so beside the instance and the profile the peak is the (2, n) value
+    and subweight blocks, 32 B per scenario, and the copies of the kept
+    rows where some row has zero weight."""
     kappa = _clip_kappa(instance, kappa)
-    lam, cells, upper = _calibrate(instance, prof, kappa)
     (lower,) = _bound(instance, prof, "inf", np.array([kappa]))
-    return ClosedInterval(min(float(lower), upper), upper), lam, _cells_mean(*cells)
+    lam, rows, upper = _calibrate(instance, prof, kappa)
+    return ClosedInterval(min(float(lower), upper), upper), lam, _rows_mean(*rows)
 
 
 def _clip_kappas(instance: DiscreteInstance, kappas) -> np.ndarray:

@@ -9,7 +9,10 @@ between them, solved in closed form; the optimizers there form a
 selection that attains the endpoint.  Each side searches its segment on
 its own, CELLS // n candidate segments a pass (every segment at once for
 small instances, one bisection probe for large ones), and keeps only the
-(lam, up, mid) mask rows it may still read.
+(lam, up, mid) mask rows it may still read.  Past _BLOCK scenarios it
+keeps no scaled copy of the data and evaluates a pass's endpoint values,
+like the dual's candidates, a block of scenarios at a time, into the
+full-length rows that the sums read.
 
 Fixed-quantile restrictions at level alpha reuse the pivot machinery from
 the median case with mass levels (alpha, 1-alpha): the upper endpoint caps
@@ -52,6 +55,9 @@ _ATOL = 1e-12
 #: cells (segments x scenarios) per pass of the moment segment search: a
 #: pass evaluates CELLS // n segments, at least one
 CELLS = 2**12
+# scenarios per block of a large moment solve; a pass of two or more
+# probes (n below CELLS / 2) is one block
+_BLOCK = 2**14
 # searched for in the sorted cuts: the first finite one and the first zero
 _FINITE_NEGATIVE = np.array([-np.finfo(float).max, 0.0])
 
@@ -91,20 +97,6 @@ def _power(x: np.ndarray, r: float) -> np.ndarray:
     return np.power(x, r)
 
 
-def _check_power_validity(instance: DiscreteInstance, r: float) -> None:
-    if r > 0.0 and (_is_odd_integer(r) or _nonnegative(instance)):
-        return
-    raise InvalidPower(
-        f"power r={r} needs a positive exponent, odd integer unless the instance is nonnegative"
-    )
-
-
-def _nonnegative(instance: DiscreteInstance) -> bool:
-    """Every lower end is at least 0, up to 1e-12 of the data's scale."""
-    lowest = float(instance.lower.min())
-    return lowest >= 0.0 or lowest >= -_ATOL * instance.magnitude()
-
-
 def power_image_interval(instance: DiscreteInstance, r: float) -> ClosedInterval:
     """Mean range of y^r over all selections: [E lower^r, E upper^r].
 
@@ -117,12 +109,20 @@ def power_image_interval(instance: DiscreteInstance, r: float) -> ClosedInterval
 
 def _power_image(instance: DiscreteInstance, r: float):
     """:func:`power_image_interval`, and the endpoints it raises to the
-    power r: the instance's own or, unless r is an odd integer, copies
-    clamped at 0."""
-    _check_power_validity(instance, r)
+    power r: the instance's own, or copies clamped at 0 where r is not an
+    odd integer and some lower end is 0 or below.
+
+    r must be positive and, unless it is an odd integer, every lower end
+    at least 0, up to 1e-12 of the data's scale.  The clamp removes that
+    noise and makes a -0.0 endpoint 0.0, as np.maximum does; data whose
+    least lower end is positive needs neither and is not copied."""
     lower, upper = instance.lower, instance.upper
-    if not _is_odd_integer(r):
-        # validity guarantees nonnegative lowers; clamp -1e-15 noise
+    lowest = math.inf if _is_odd_integer(r) else float(lower.min())
+    if not (r > 0.0 and (lowest >= 0.0 or lowest >= -_ATOL * instance.magnitude())):
+        raise InvalidPower(
+            f"power r={r} needs a positive exponent, odd integer unless the instance is nonnegative"
+        )
+    if lowest <= 0.0:
         lower, upper = np.maximum(lower, 0.0), np.maximum(upper, 0.0)
     lo = float(np.dot(instance.weight, _power(lower, r)))
     hi = float(np.dot(instance.weight, _power(upper, r)))
@@ -134,12 +134,26 @@ def _scenario_envelope(lower, upper, r: float, lam: float, maximize: bool):
 
     Candidates: both endpoints plus the stationary points t of
     :func:`_stationary` and, for odd r, -t; on admissible data (nonnegative
-    unless r is an odd integer) only a finite lam < 0 has them.
+    unless r is an odd integer) only a finite lam < 0 has them.  Past
+    _BLOCK scenarios the candidates are built a block at a time, written
+    into the returned row.
     """
     roots = []
     if lam < 0.0 and r != 1.0:
         t = _stationary(lam, r)
         roots = [t, -t] if _is_odd_integer(r) else [t]
+    if lower.size <= _BLOCK:
+        return _envelope_block(lower, upper, r, lam, maximize, roots)
+    vals = np.empty(lower.size)
+    for start in range(0, lower.size, _BLOCK):
+        at = slice(start, start + _BLOCK)
+        vals[at] = _envelope_block(lower[at], upper[at], r, lam, maximize, roots)
+    return vals
+
+
+def _envelope_block(lower, upper, r: float, lam: float, maximize: bool, roots):
+    """:func:`_scenario_envelope` over one block of scenarios, from the
+    stationary points ``roots``."""
     vals = None
     for x in [lower, upper] + [np.minimum(np.maximum(lower, root), upper) for root in roots]:
         v = _power(x, r)
@@ -159,17 +173,21 @@ def _stationary(lam: float, r: float) -> float:
 class _Breaks(NamedTuple):
     """One moment solve's data, scaled into [-1, 1], and its breakpoints:
     the multipliers where some scenario's optimizer of x + lam x^r can
-    switch (see :func:`_moment_side`).  Neither side changes them."""
+    switch (see :func:`_moment_side`).  Neither side changes them.  The
+    scaled data is lo / scale and hi / scale: past _BLOCK scenarios
+    :func:`_moment_solve` keeps lo and hi unscaled, and the passes divide
+    them a block at a time."""
 
     w: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    lo_r: np.ndarray
+    lo_r: np.ndarray   # of the scaled data, as every field below
     hi_r: np.ndarray
     mean_lo_r: float   # E[lo^r]
     ends: np.ndarray   # the breakpoints sorted, then 0: segment j ends at ends[j]
     r: float
     odd: bool          # r an odd integer: the data may be signed
+    scale: float = 1.0
 
 
 @functools.cache
@@ -236,18 +254,18 @@ def _probes(lo_j: int, hi_j: int, batch: int):
 def _side_free(b: _Breaks, probes):
     """A pass's side-free values at the segments ``probes``: the midpoints
     lam, t and g = t + lam t^r there, lo + lam lo^r and hi + lam hi^r (a
-    row per probe), and t^r at each right end but the last segment's."""
+    row per probe; None past _BLOCK scenarios, where :func:`_regimes`
+    evaluates them a block at a time), and t^r at each right end but the
+    last segment's."""
     ends, r, m = b.ends, b.r, probes.size
     right = ends[probes]
     lam = ends[probes - 1] + right   # probe 0 reads the last end here; set below
     lam *= 0.5
     if probes[0] == 0:
         lam[0] = 2.0 * ends[0] - 1.0
-    col = lam[:, None]
-    f_lo = col * b.lo_r   # lo + lam lo^r and hi + lam hi^r, in place
-    f_lo += b.lo
-    f_hi = col * b.hi_r
-    f_hi += b.hi
+    f_lo = f_hi = None
+    if b.lo.size <= _BLOCK:
+        f_lo, f_hi = _endpoint_values(lam[:, None], b.lo, b.hi, b.lo_r, b.hi_r)
     inner = m - (int(probes[-1]) == ends.size - 1)   # the last right end, 0, is never read
     t = np.concatenate((lam, right[:inner]))   # t at the midpoints, then at the right ends
     t *= r
@@ -261,6 +279,28 @@ def _side_free(b: _Breaks, probes):
     return lam, t, g, f_lo, f_hi, right
 
 
+def _endpoint_values(col, lo, hi, lo_r, hi_r):
+    """lo + lam lo^r and hi + lam hi^r, a row per multiplier of ``col``."""
+    f_lo = col * lo_r   # in place after the product
+    f_lo += lo
+    f_hi = col * hi_r
+    f_hi += hi
+    return f_lo, f_hi
+
+
+def _masks(beats, x, f_x, lo, hi, f_lo, f_hi, mid=None, up=None):
+    """The scenarios whose optimizer is x (``mid``: inside lo < x < hi and
+    beating both endpoints' values) or the upper endpoint (``up``), a row
+    per probe; written into ``mid`` and ``up`` when given."""
+    mid = beats(f_x, f_lo, out=mid)
+    mid &= beats(f_x, f_hi)
+    mid &= np.less(lo, x)
+    mid &= x < hi
+    up = beats(f_hi, f_lo, out=up)
+    np.greater(up, mid, out=up)   # up and not mid
+    return mid, up
+
+
 def _regimes(b: _Breaks, probes, maximize: bool, shared):
     """One side's regimes at the segments ``probes``, from their side-free
     values (``shared``, or built here): the midpoints lam, the masks of the
@@ -272,13 +312,18 @@ def _regimes(b: _Breaks, probes, maximize: bool, shared):
     flip = b.odd and not maximize
     beats = np.greater if maximize else np.less
     x, f_x = (-t[:, None], -g[:, None]) if flip else (t[:, None], g[:, None])
-    mid = beats(f_x, f_lo)   # x inside lo < x < hi, beating both endpoints
-    mid &= beats(f_x, f_hi)
-    mid &= np.less(b.lo, x)
-    mid &= x < b.hi
-    up = beats(f_hi, f_lo)
-    np.greater(up, mid, out=up)   # up and not mid
-    del f_lo, f_hi   # before the sums
+    if f_lo is not None:
+        mid, up = _masks(beats, x, f_x, b.lo, b.hi, f_lo, f_hi)
+        del f_lo, f_hi   # before the sums
+    else:   # a block of endpoint values at a time, into the full-length masks
+        col, shape = lam[:, None], (lam.size, b.lo.size)
+        mid, up = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        for start in range(0, b.lo.size, _BLOCK):
+            at = slice(start, start + _BLOCK)
+            lo, hi = b.lo[at] / b.scale, b.hi[at] / b.scale
+            f_lo, f_hi = _endpoint_values(col, lo, hi, b.lo_r[at], b.hi_r[at])
+            _masks(beats, x, f_x, lo, hi, f_lo, f_hi, mid[:, at], up[:, at])
+        del f_lo, f_hi   # the last block's, before the sums
     # W, and C = E[lo^r] + E[up (hi^r - lo^r)] - E[mid lo^r], from products of
     # the masks with weighted powers (no select branches), one column at a time
     weighted = b.hi_r - b.lo_r
@@ -376,16 +421,20 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction, se
     the attaining selection, which puts the fraction theta of each weight
     at x and the rest at rest, with its mean; ``seen`` gets the power image.
 
-    mu_r at an image edge pins every scenario to that endpoint (lam* is 0
-    on one side and -inf on the other).  Otherwise each side is solved on
-    the data divided by s = max |endpoint| (mu_r by s^r), so nothing
-    depends on the units; both sides search one set of breakpoints, freed
-    before the dual objectives are evaluated.
+    mu_r is feasible within 1e-9 of the image's own scale, so the check
+    does not depend on the units either.  mu_r at an image edge pins every
+    scenario to that endpoint (lam* is 0 on one side and -inf on the
+    other).  Otherwise each side is solved on the data divided by s = max
+    |endpoint| (mu_r by s^r), so nothing depends on the units; both sides
+    search one set of breakpoints, freed before the dual objectives are
+    evaluated.  Past _BLOCK scenarios a pass holds, beside the instance,
+    the powers and breakpoints (40 B a scenario at even r), the mask rows
+    kept and its sums' two float rows.
     """
     r, mu = restriction.r, restriction.mu_r
     image, low, high = _power_image(instance, r)
     seen(image)
-    tol = 1e-9 * max(1.0, abs(image.lo), abs(image.hi))
+    tol = 1e-9 * max(abs(image.lo), abs(image.hi))   # relative: no floor in the data's units
     if not image.contains(mu, tol=tol):
         raise InfeasibleMoment(
             f"mu_r={mu} outside the attainable moment range [{image.lo}, {image.hi}]"
@@ -400,15 +449,20 @@ def _moment_solve(instance: DiscreteInstance, restriction: MomentRestriction, se
         sides = [(float(np.dot(w, x)),) * 2 + (x, 1.0, x)] * 2
     else:
         s = instance.magnitude()
-        lo, hi, mu = low / s, high / s, mu / s**r   # clamped as the image's endpoints
+        b = _breakpoints(w, low / s, high / s, r)   # clamped as the image's endpoints
+        if w.size > _BLOCK:   # no scaled copy beside the search: the passes divide
+            b = b._replace(lo=low, hi=high, scale=s)
+        mu = mu / s**r
         del low, high
-        b = _breakpoints(w, lo, hi, r)
-        batch = max(1, CELLS // lo.size)
+        batch = max(1, CELLS // w.size)
         # both sides probe the same segments first: a pass of at most CELLS cells serves both
         probes = _probes(0, b.ends.size, batch)
-        shared = _side_free(b, probes) if lo.size <= CELLS else None
+        shared = _side_free(b, probes) if w.size <= CELLS else None
         found = [_moment_side(b, mu, maximize, batch, probes, shared) for maximize in (False, True)]
+        lo, hi, scale = b.lo, b.hi, b.scale
         del b, shared
+        if scale != 1.0:
+            lo, hi = lo / scale, hi / scale   # the scaled data, as the search read it
         sides = []
         for maximize, (lam, theta, x_mid, row, rest) in zip((False, True), found):
             values = []

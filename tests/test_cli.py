@@ -30,6 +30,7 @@ from selbounds.cli import (
     AnalysisRequest,
     _parse_bulk,
     _parse_lines,
+    chi2_example,
     main,
     parse_csv,
     report_to_json,
@@ -548,9 +549,15 @@ class TestPlainDecimalReader:
 
 class TestWorkingSet:
     """tracemalloc peaks at 50,000 rows in bytes per row, bounds set from
-    measurement: 144-154 (mean pin), 113 (moment) and 34 (one marginal
-    law), against 208-218, 169 and 74 while the file was read whole, the
-    laws stayed alive through the solves and a law build copied."""
+    measurement plus at most 3: 116 (mean pin), 90 (moment) and 33 (one
+    marginal law), and 94 B per grid point for ``example-chi2`` at a grid
+    of 50,001.  They were 135 (mean pin), 106 (moment) and 99 (chi-square)
+    while the calibration's span values lived beside its selection
+    blocks, the power image copied nonnegative endpoints, a moment pass
+    held its endpoint values and the scaled data whole, and the example
+    kept its marginal laws through the median interval; and 208-218, 169
+    and 74 (law) while the file was read whole, the laws stayed alive
+    through the solves and a law build copied."""
 
     N = 50_000
 
@@ -579,14 +586,18 @@ class TestWorkingSet:
             target=TargetSet.from_pairs([[1.0, 2.0], [3.0, 3.5]]),
         )
         del inst
-        assert self.peak(lambda: run(request)) <= 170 * self.N
+        assert self.peak(lambda: run(request)) <= 119 * self.N
 
     def test_moment_report(self, csv_path):
         inst = read_csv(csv_path)
         image = power_image_interval(inst, 2.0)
         request = AnalysisRequest(csv_path=str(csv_path), restriction=("moment", 2.0, image.lo + 0.37 * image.width))
         del inst
-        assert self.peak(lambda: run(request)) <= 135 * self.N
+        assert self.peak(lambda: run(request)) <= 93 * self.N
+
+    def test_chi2_example(self):
+        grid = 50_001
+        assert self.peak(lambda: chi2_example(grid)) <= 97 * grid
 
     def test_marginal_law(self, csv_path):
         inst = read_csv(csv_path)

@@ -13,11 +13,12 @@ from selbounds import (
     dual_envelope,
     gap_profile,
     mean_restricted_prob_bounds,
+    normalize,
     unrestricted_prob_bounds,
     oracle,
 )
 
-from selbounds.events import _pin_at
+from selbounds.events import _pin_at, _regime_fill
 
 from helpers import constant_instance, random_instance, random_target, two_state_instance
 
@@ -243,6 +244,26 @@ class TestMeanRestrictedBounds:
         box = aumann_interval(inst)
         mean_restricted_prob_bounds(inst, request.target, box.lo + 0.05 * box.width)
         assert len(sorts) == 2   # a batch of one sorts its U and its L regime
+
+    def test_regime_fill_working_set(self):
+        # U's fills at 50k scenarios, 34k of them in the pool, keep 40 B a
+        # pool scenario; freeing the gaps, sorted keys and costs before the
+        # weights and indices are put in fill order holds the peak at 64
+        # (89 while all were alive)
+        rng = np.random.default_rng(3)
+        n = 50_000
+        lower = rng.uniform(0.0, 4.0, n)
+        inst = normalize(DiscreteInstance(lower, lower + rng.exponential(1.0, n), rng.uniform(0.1, 1.0, n)))
+        prof = gap_profile(inst, TargetSet.from_pairs([[1.0, 2.0], [3.0, 3.5]]))
+        for above in (True, False):
+            tracemalloc.start()
+            try:
+                fill = _regime_fill(inst, prof, "sup", above)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fill.index.size > n // 2
+            assert peak <= 67 * fill.index.size
 
     def test_zero_cost_boundary_raises_no_warning(self):
         # scenario 0 meets the target at its upper endpoint: zero gap, zero

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,53 @@ class TestPowerImage:
         with pytest.raises(InvalidPower):
             moment_restricted_mean_interval(pos, MomentRestriction(-1.0, 0.4))
 
+    def test_positive_endpoints_are_not_copied(self):
+        # one power of the endpoints is alive at a time, 8 B a row; the
+        # copies clamped at 0 added 16 B a row on data that needs none
+        from selbounds.extensions import _power_image
+
+        rng = np.random.default_rng(71)
+        n = 100_000
+        lower = rng.uniform(0.0, 2.0, n) + 1e-3
+        inst = DiscreteInstance(lower, lower + rng.uniform(0.0, 1.0, n), np.full(n, 1.0 / n))
+        for r in (0.5, 2.0, 2.5):
+            tracemalloc.start()
+            try:
+                power_image_interval(inst, r)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 9 * n
+            _, low, high = _power_image(inst, r)
+            assert low is inst.lower and high is inst.upper
+
+    def test_negative_zero_lower_end_keeps_its_bits(self):
+        # np.maximum makes a -0.0 endpoint 0.0, so it is still clamped:
+        # the image and the moment interval read as with a 0.0 there
+        from selbounds.extensions import _power_image
+
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            lower = np.round(4 * rng.uniform(0.0, 1.0, n)) / 4
+            upper = lower + np.round(4 * rng.uniform(0.0, 1.0, n)) / 4
+            lower[rng.random(n) < 0.5] = 0.0
+            signed = np.where(lower == 0.0, -0.0, lower)
+            w = rng.uniform(0.2, 1.0, n)
+            plain, negzero = (DiscreteInstance(lo, upper, w / w.sum()) for lo in (lower, signed))
+            for r in (0.5, 1.5, 2.0):
+                img, low, _ = _power_image(negzero, r)
+                assert low.tobytes() == np.maximum(signed, 0.0).tobytes()
+                assert [v.hex() for v in img.as_tuple()] == [
+                    v.hex() for v in power_image_interval(plain, r).as_tuple()
+                ]
+                if img.width == 0.0:
+                    continue
+                restriction = MomentRestriction(r, img.lo + 0.37 * img.width)
+                assert [v.hex() for v in moment_restricted_mean_interval(negzero, restriction).as_tuple()] == [
+                    v.hex() for v in moment_restricted_mean_interval(plain, restriction).as_tuple()
+                ]
+
 
 class TestMomentRestrictedInterval:
     def test_unit_square_quarter(self):
@@ -91,6 +139,16 @@ class TestMomentRestrictedInterval:
     def test_infeasible(self):
         with pytest.raises(InfeasibleMoment):
             moment_restricted_mean_interval(UNIT, MomentRestriction(2.0, 1.5))
+
+    def test_feasibility_is_relative_to_the_image(self):
+        # at scale 1e-12 and r = 3 the image is of order 1e-36: a floor of
+        # 1e-9 in the data's units took a mu_r 100 image widths above it
+        # for the image's edge, [8.79e-13, 8.79e-13]
+        base = random_instance(np.random.default_rng(500), n=500)
+        tiny = DiscreteInstance(base.lower * 1e-12, base.upper * 1e-12, base.weight)
+        for inst, mu in ((base, 5e2), (tiny, 5e-34)):
+            with pytest.raises(InfeasibleMoment):
+                moment_restricted_mean_interval(inst, MomentRestriction(3.0, mu))
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(11)
@@ -361,6 +419,31 @@ class TestMomentSearchBatches:
         (2, 2.0, 3000): ["0x1.ce51d995ba480p-1", "0x1.1568ff377cfe6p+0", "0x1.2dc0f97e1ca25p-2", "0x1.0000000000000p+0"],
         (4, 3.0, 3000): ["0x1.71d0d672329f6p-4", "0x1.f2e1daa7767abp-2", "0x1.3721882e109ddp-5", "0x1.43b9a50891210p-3"],
     }
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 3.0, 5.0])
+    def test_blocks_keep_every_bit(self, monkeypatch, r):
+        # past _BLOCK scenarios the data is read unscaled and divided, and
+        # the endpoint values and the dual's candidates are built a block
+        # at a time: every answer and selection keeps its bits
+        import selbounds.extensions as ext
+
+        rng = np.random.default_rng(79)
+        for n in (40, 300, 3000):
+            inst = self.instance(rng, r, n)
+            img = power_image_interval(inst, r)
+            if img.width == 0.0:
+                continue
+            restriction = MomentRestriction(r, img.lo + float(rng.uniform(0.02, 0.98)) * img.width)
+            runs = [ext._moment_solve(inst, restriction)]
+            for block in (64, 1000):
+                with monkeypatch.context() as patch:
+                    patch.setattr(ext, "_BLOCK", block)
+                    runs.append(ext._moment_solve(inst, restriction))
+            for iv, sides in runs[1:]:
+                assert [v.hex() for v in iv.as_tuple()] == [v.hex() for v in runs[0][0].as_tuple()]
+                for (dual, primal, x, theta, rest), want in zip(sides, runs[0][1]):
+                    assert [dual.hex(), primal.hex(), theta.hex()] == [v.hex() for v in (want[0], want[1], want[3])]
+                    assert x.tobytes() == want[2].tobytes() and rest.tobytes() == want[4].tobytes()
 
     @pytest.mark.parametrize("seed, r, n", list(PINNED))
     def test_answers_keep_their_bits(self, seed, r, n):
