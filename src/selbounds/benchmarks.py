@@ -126,12 +126,6 @@ def _rest_row(weight, values, subweights):
     return values.ravel(), subweights.ravel()
 
 
-def _cells_mean(weight, cells, rest) -> float:
-    """``Selection.from_cells(weight, cells, rest).mean()``, bit for bit,
-    without building the selection's scenario column."""
-    return _rows_mean(*_cell_rows(weight, cells, rest))
-
-
 def _rows_mean(value, subweight) -> float:
     """The mean of the selection :meth:`Selection._from_rows` would build
     from these rows, read from its kept rows as ``mean`` reads them."""
@@ -188,8 +182,7 @@ def mean_selection(instance: DiscreteInstance, kappa: float) -> Selection:
     """
     box = aumann_interval(instance)
     t = 0.0 if box.width <= 0.0 else (_clip_kappa(instance, kappa) - box.lo) / box.width
-    values = (1.0 - t) * instance.lower + t * instance.upper
-    return Selection(np.arange(instance.n), values, instance.weight.copy())
+    return Selection.from_cells(instance.weight, [], (1.0 - t) * instance.lower + t * instance.upper)
 
 
 def quantile_selection(instance: DiscreteInstance, alpha: float, m: float) -> Selection:
@@ -206,4 +199,4 @@ def quantile_selection(instance: DiscreteInstance, alpha: float, m: float) -> Se
     if not rng.contains(m):
         raise MOutOfRange(f"m={m} outside attainability range [{rng.lo}, {rng.hi}]")
     value = np.where(instance.upper <= m, instance.upper, np.maximum(instance.lower, m))
-    return Selection(np.arange(instance.n), value, instance.weight.copy())
+    return Selection.from_cells(instance.weight, [], value)

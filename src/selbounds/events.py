@@ -181,7 +181,6 @@ class _MeanFill(NamedTuple):
     reach: float            # dot(gap, weight): the largest shift the pool buys
     cap: float              # sum of the costs, the fill's own clip
     free: int               # zero gaps: first in the order, engaged at no cost
-    base: float             # the mean the shift starts from
 
 
 def _engage(fill: _MeanFill, need: np.ndarray, instance: DiscreteInstance):
@@ -232,7 +231,7 @@ def _span(instance: DiscreteInstance, prof: GapProfile, bound: str, out=None):
 
 def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above: bool):
     """The fill of U (``"sup"``) or L (``"inf"``) above or below its slack
-    span, sorted once.
+    span, sorted once; the mean its shifts start from is the caller's.
 
     U starts from the upper endpoints and pulls hit scenarios down onto
     a_plus (above), or from the lower ones and pushes them up onto a_minus
@@ -247,10 +246,7 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
     if bound == "sup":
         idx = np.flatnonzero(prof.hit)
         g = prof._gap(above, idx)
-        base = instance.mean_upper() if above else instance.mean_lower()
     else:
-        # the span's two rows are freed before the pool's arrays are built
-        base = float(np.dot(instance.weight, _span(instance, prof, "inf")[1 if above else 0]))
         idx = np.flatnonzero(prof.hit & ~prof.contain)
         g = prof._reentry(above, idx)
         pool = g > 0.0
@@ -267,7 +263,7 @@ def _regime_fill(instance: DiscreteInstance, prof: GapProfile, bound: str, above
     del w
     index = idx[order]
     del idx, order
-    return _MeanFill(index, weight, sorted_cost, cum_cost, np.cumsum(weight), reach, cap, free, base)
+    return _MeanFill(index, weight, sorted_cost, cum_cost, np.cumsum(weight), reach, cap, free)
 
 
 def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas) -> np.ndarray:
@@ -276,17 +272,19 @@ def _bound(instance: DiscreteInstance, prof: GapProfile, bound: str, kappas) -> 
     Inside the slack span U counts every hit scenario and L only the
     contained ones.  Beyond it each kappa needs the mean shift |base -
     kappa| from its regime's fill, so one sort per regime and one
-    ``searchsorted`` serve every kappa.
+    ``searchsorted`` serve every kappa.  U's shifts start from E upper and
+    E lower, L's from the span's own ends.
     """
     w = instance.weight
     lo, hi = (float(np.dot(w, v)) for v in _span(instance, prof, bound))
     slack = float(w.compress(prof.hit if bound == "sup" else prof.contain).sum())
     floor = 0.0 if bound == "sup" else slack   # L's contained mass always counts
+    bases = (instance.mean_upper(), instance.mean_lower()) if bound == "sup" else (hi, lo)
     out = np.full(kappas.shape, slack)
-    for side, at in ((True, kappas > hi), (False, kappas < lo)):
+    for side, at, base in zip((True, False), (kappas > hi, kappas < lo), bases):
         if at.any():
             fill = _regime_fill(instance, prof, bound, side)
-            out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]), instance)[2]
+            out[at] = floor + _engage(fill, np.abs(base - kappas[at]), instance)[2]
             del fill   # freed before the other side's fill is built
     return out
 
@@ -332,8 +330,9 @@ def _calibrate(instance: DiscreteInstance, prof: GapProfile, kappa: float):
 
     del values, low, high
     above = kappa > k_hi
+    base = instance.mean_upper() if above else instance.mean_lower()
     fill = _regime_fill(instance, prof, "sup", above)
-    (k,), (share,), (prob,) = _engage(fill, np.abs(fill.base - np.array([kappa])), instance)
+    (k,), (share,), (prob,) = _engage(fill, np.abs(base - np.array([kappa])), instance)
     subweights = np.zeros((2, instance.n))
     engaged = subweights[0]
     engaged[fill.index[:k]] = fill.weight[:k]

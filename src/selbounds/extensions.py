@@ -541,8 +541,7 @@ def mean_restricted_quantile_range(
     Both maps are nondecreasing in q, affine between breakpoints (scenario
     endpoints) and may jump upward at one, so a bisection over the sorted
     breakpoints finds the first with E_max >= kappa and the first with
-    E_min > kappa; a probe partitions and fills only the side it tests
-    (3.0 s at 1e6 scenarios, CPU time, against 5.5 when it filled both).  The
+    E_min > kappa; a probe partitions and fills only the side it tests.  The
     segment before each is an exact line, whose value and slope (the capped
     or lifted contact mass) one fill at its midpoint gives.  Endpoints are
     closure values: one on an upward jump (a zero-width scenario) may be a
@@ -554,7 +553,7 @@ def mean_restricted_quantile_range(
     cuts = ends[(ends > rng.lo) & (ends < rng.hi)]
     grid = np.concatenate([[rng.lo], cuts, [rng.hi]])
     # relative to the data's magnitude, so scaling the instance scales the range
-    tol = _ATOL * max(abs(kappa), abs(float(ends[0])), abs(float(ends[-1])))
+    tol = _ATOL * max(abs(kappa), instance.magnitude())
     fills = ((1.0 - alpha, "min", instance.mean_lower()), (alpha, "max", instance.mean_upper()))
 
     def side(q, upper_side):

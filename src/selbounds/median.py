@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InfeasibleMedian, InputError, MOutsideMedianSpan
 from .laws import Law
 from .model import ClosedInterval, DiscreteInstance, _marginal
-from .rearrange import _fill_value, _greedy_fill, _tie_runs
+from .rearrange import _fill_order, _fill_value, _greedy_fill, _tie_runs
 from .benchmarks import Selection, median_benchmark
 
 _ATOL = 1e-12
@@ -124,11 +124,12 @@ def _pivot_curve(instance: DiscreteInstance, parts, below_need: float, above_nee
 
     ``parts`` yields the partitions at the pivots and is read once; only
     their pivots and masses are kept, not their contact sets.  Each side
-    is then filled at every pivot from one stable sort of the scenarios
+    is then filled at every pivot from one sort of the scenarios
     (:func:`_presorted_fills`), and only one side's sort is alive at a
-    time.  A presort costs more than one point query saves (a batch of
-    one took 55 ms of CPU at 200k scenarios, a point query 4.4 ms), so the
-    point functions keep their contact sorts.
+    time.  A presort costs more than one point query saves (at 200k
+    scenarios a batch of one took about 23 ms of CPU, a point query
+    about 6 ms, best of 7 on 2 shared CPUs), so the point functions keep
+    their contact sorts.
     """
     masses = [(part.m, part.p_minus, part.p_plus, part.p0) for part in parts]
     e_hi = _presorted_fills(instance, masses, below_need, "max")
@@ -139,7 +140,8 @@ def _pivot_curve(instance: DiscreteInstance, parts, below_need: float, above_nee
 def _presorted_fills(instance: DiscreteInstance, masses, need: float, side: str):
     """E_max (side="max") or E_min at every pivot of ``masses``, rows of
     (pivot, p_minus, p_plus, p0), as :func:`_pivot_fill` gives it, from
-    one stable sort of the scenarios.
+    one sort of the scenarios in fill order (:func:`_fill_order`:
+    ascending, ties by scenario index).
 
     The sort key is ``upper`` ascending for the max side and ``lower``
     descending for the min side, signed so that both ascend; with the
@@ -151,9 +153,7 @@ def _presorted_fills(instance: DiscreteInstance, masses, need: float, side: str)
     """
     sign, ends, others = (1.0, instance.upper, instance.lower) if side == "max" else (
         -1.0, instance.lower, instance.upper)
-    keys = sign * ends
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    order, keys = _fill_order(sign * ends)
     others = sign * others[order]
     weights = instance.weight[order]
     base = instance.mean_upper() if side == "max" else instance.mean_lower()

@@ -17,10 +17,10 @@ number of masses, so the mean-pinned probability bounds of
 per regime.  The pivot-restricted mean bounds of :mod:`selbounds.median`
 reach the kernel at two call sites: a point query sorts its contact gaps
 (:func:`_greedy_fill`), and a curve of pivots takes its gaps in order from
-one presort per side, puts ties back with :func:`_tie_runs` and shares the
-fill's value (:func:`_fill_value`).  :func:`sorted_partial_sum` (the
-fill's value) and :func:`least_x_set` (also the chosen subset) are thin
-public wrappers.
+one presort per side, which comes from :func:`_fill_order`, puts ties
+back with :func:`_tie_runs` and shares the fill's value
+(:func:`_fill_value`).  :func:`sorted_partial_sum` (the fill's value) and
+:func:`least_x_set` (also the chosen subset) are thin public wrappers.
 Quantile-step integration (:func:`conditional_quantile_integral`) is
 implemented independently of that kernel and must agree with it to machine
 precision.

@@ -140,13 +140,12 @@ def unrestricted_ref(instance, prof):
 
 def regime_fill_ref(instance, prof, bound, above):
     """``events._regime_fill`` with a boolean pool filter."""
-    from selbounds.events import _MeanFill, _span
+    from selbounds.events import _MeanFill
     from selbounds.rearrange import _sort_fill
 
     if bound == "sup":
         idx = np.flatnonzero(prof.hit)
         g = prof._gap(above, idx)
-        base = instance.mean_upper() if above else instance.mean_lower()
     else:
         idx = np.flatnonzero(prof.hit & ~prof.contain)
         if above:
@@ -155,30 +154,35 @@ def regime_fill_ref(instance, prof, bound, above):
             g = np.maximum(prof.out_low[idx] - prof.a_minus[idx], 0.0)
         pool = g > 0.0
         idx, g = idx[pool], g[pool]
-        base = float(np.dot(instance.weight, _span(instance, prof, "inf")[1 if above else 0]))
     w = instance.weight[idx]
     cost = g * w
     order, _, sorted_cost, cum_cost = _sort_fill(-g if bound == "inf" else g, cost)
     weight = w[order]
     return _MeanFill(
         idx[order], weight, sorted_cost, cum_cost, np.cumsum(weight), float(np.dot(g, w)),
-        float(cost.sum()), int(np.count_nonzero(g == 0.0)), base,
+        float(cost.sum()), int(np.count_nonzero(g == 0.0)),
     )
 
 
 def bound_ref(instance, prof, bound, kappas):
-    """``events._bound`` with a boolean slack mask."""
+    """``events._bound`` with a boolean slack mask; U's shifts start from E
+    upper and E lower, L's from the dot of the span's own row."""
     from selbounds.events import _engage, _span
 
     w = instance.weight
-    lo, hi = (float(np.dot(w, v)) for v in _span(instance, prof, bound))
+    rows = _span(instance, prof, bound)
+    lo, hi = (float(np.dot(w, v)) for v in rows)
     slack = float(w[prof.hit if bound == "sup" else prof.contain].sum())
     floor = 0.0 if bound == "sup" else slack
     out = np.full(kappas.shape, slack)
     for side, at in ((True, kappas > hi), (False, kappas < lo)):
         if at.any():
+            if bound == "sup":
+                base = instance.mean_upper() if side else instance.mean_lower()
+            else:
+                base = float(np.dot(w, rows[1 if side else 0]))
             fill = regime_fill_ref(instance, prof, bound, side)
-            out[at] = floor + _engage(fill, np.abs(fill.base - kappas[at]), instance)[2]
+            out[at] = floor + _engage(fill, np.abs(base - kappas[at]), instance)[2]
     return out
 
 

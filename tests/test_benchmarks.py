@@ -18,7 +18,7 @@ from selbounds import (
     marginal_law,
 )
 
-from selbounds.benchmarks import _cells_mean
+from selbounds.benchmarks import _cell_rows, _rows_mean
 
 from helpers import constant_instance, random_instance, two_state_instance
 
@@ -264,7 +264,7 @@ class TestSelectionCells:
             assert np.array_equal(sel.scenario, scenario)
             assert sel.value.tobytes() == value.tobytes()
             assert sel.subweight.tobytes() == subweight.tobytes()
-            assert _cells_mean(weight, cells, rest) == sel.mean()
+            assert _rows_mean(*_cell_rows(weight, cells, rest)) == sel.mean()
 
     def test_positive_rows_are_kept_without_copies(self):
         s, v, w = np.arange(3), np.array([0.0, 1.0, 2.0]), np.array([0.2, 0.3, 0.5])

@@ -315,6 +315,22 @@ class TestPivotCurve:
         batch, point = self.quantile_pair(inst, [-1e16])
         assert batch == point
 
+    @pytest.mark.parametrize("n", [257, 2000])
+    def test_presort_is_the_fill_order(self, monkeypatch, n):
+        # past _fill_order's stable-sort pool a presort side is one
+        # quicksort with its ties put back: no stable sort, the same bits
+        rng = np.random.default_rng(n)
+        lower = 0.25 * rng.integers(-8, 9, n)
+        inst = DiscreteInstance.from_rows(zip(lower, lower + 0.25 * rng.integers(0, 5, n), rng.uniform(0.1, 1.0, n)))
+        band = median_benchmark(inst)
+        pivots = np.linspace(band.lo, band.hi, 9)
+        kinds, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: kinds.append(kw.get("kind")) or argsort(*a, **kw))
+        batch = _outcome(lambda: median._median_curve(inst, pivots))
+        monkeypatch.undo()
+        assert len(kinds) == 2 and "stable" not in kinds
+        assert batch == self.median_pair(inst, pivots)[1]
+
     def test_first_infeasible_pivot_raises(self):
         inst = DiscreteInstance.from_rows([(-2.0, -1.0, 0.7), (1.0, 2.0, 0.3)])
         batch, point = self.median_pair(inst, [-1.5, 0.0, 3.0])

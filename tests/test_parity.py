@@ -10,7 +10,7 @@ order, so each converted value must keep its bits: every check below is
 import numpy as np
 
 from selbounds import DiscreteInstance, StepDistribution, aumann_interval, partition
-from selbounds.benchmarks import Selection, _cell_rows, _cells_mean
+from selbounds.benchmarks import Selection, _cell_rows, _rows_mean
 from selbounds.events import _bound, _calibrate, _dual, _regime_fill, _unrestricted, gap_profile
 from selbounds.extensions import (
     CELLS,
@@ -128,6 +128,6 @@ def test_zero_row_filters():
         sel = Selection(scenario, value, subweight)
         ref = (scenario[keep], value[keep], subweight[keep])
         assert _same_arrays((sel.scenario, sel.value, sel.subweight), ref)
-        assert _cells_mean(w, cells, inst.upper).hex() == float(np.dot(ref[1], ref[2])).hex()
+        assert _rows_mean(*_cell_rows(w, cells, inst.upper)).hex() == float(np.dot(ref[1], ref[2])).hex()
         law, law_ref = StepDistribution.from_samples(value, subweight), StepDistribution.from_samples(*ref[1:])
         assert _same_arrays((law.values, law.masses), (law_ref.values, law_ref.masses))
